@@ -31,15 +31,11 @@ from .scalars import (
     LaurentPoly,
     ParameterContext,
     UnitMonomial,
-    field_arith,
-    um_eq,
-    um_pow,
 )
 from .torus import (
     CommutationMatrix,
     SelectiveSpace,
     TorusElement,
-    elem_add,
     elem_inv,
     elem_mul,
     elem_pow,
@@ -80,7 +76,6 @@ from .orechain import (
     StageSpec,
     TorusEmbedding,
     WeylWitness,
-    eigenvalue_of_generator,
     extend_by_ore,
     run_all,
     run_stage,

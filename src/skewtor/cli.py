@@ -17,14 +17,15 @@ import argparse
 import sys
 
 from .errors import InputError, InternalError, SkewtorError
-from .orechain import InputErrorOutcome, TorusEmbedding, WeylWitness, run_all
-from .presentation import load_presentation, parse_element
+from .orechain import TorusEmbedding, WeylWitness, run_all
+from .presentation import StandaloneBlock, load_presentation, parse_element
 from .render import render_element, render_exponents
 from .report import build_report, to_json, to_text
 from .skewder import (
     Inner,
     LocallyInner,
     OuterConjugate,
+    SkewDerivation,
     ZeroDerivation,
     apply_auto,
     classify_component,
@@ -66,6 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validated_derivation(block: StandaloneBlock) -> SkewDerivation:
+    der = block.derivation()
+    violation = validate_derivation(der)
+    if violation is not None:
+        raise InputError(
+            "derivation images violate the relation between "
+            f"{block.names[violation.i]!r} and {block.names[violation.j]!r}"
+        )
+    return der
+
+
 def _cmd_run(args) -> int:
     pres = load_presentation(args.file)
     if pres.stages is None:
@@ -74,11 +86,7 @@ def _cmd_run(args) -> int:
     report = build_report(outcome, pres.ctx, trace_wanted=args.trace or args.format == "text")
     out = to_json(report) if args.format == "json" else to_text(report)
     sys.stdout.write(out)
-    if isinstance(outcome, TorusEmbedding):
-        return EXIT_OK
-    if isinstance(outcome, WeylWitness):
-        return EXIT_WEYL
-    return EXIT_INPUT
+    return EXIT_OK if isinstance(outcome, TorusEmbedding) else EXIT_WEYL
 
 
 def _cmd_classify(args) -> int:
@@ -86,15 +94,8 @@ def _cmd_classify(args) -> int:
     if pres.block is None or pres.block.images is None:
         raise InputError("this file has no standalone derivation block")
     block = pres.block
-    der = block.derivation()
-    violation = validate_derivation(der)
-    if violation is not None:
-        raise InputError(
-            "derivation images violate the relation between "
-            f"{block.names[violation.i]!r} and {block.names[violation.j]!r}"
-        )
     entries = []
-    for comp in decompose_homogeneous(der):
+    for comp in decompose_homogeneous(_validated_derivation(block)):
         cls = classify_component(comp, block.sigma, block.space)
         entry = {"weight": list(comp.weight)}
         if isinstance(cls, Inner):
@@ -140,11 +141,7 @@ def _cmd_eval(args) -> int:
             raise InputError("the file declares no lambda entry")
         value = apply_auto(block.sigma, value)
     elif args.apply == "delta":
-        der = block.derivation()
-        violation = validate_derivation(der)
-        if violation is not None:
-            raise InputError("the derivation block fails validation")
-        value = extend_derivation(der, value)
+        value = extend_derivation(_validated_derivation(block), value)
     sys.stdout.write(render_element(value, block.names) + "\n")
     return EXIT_OK
 
@@ -153,8 +150,6 @@ def _cmd_check(args) -> int:
     pres = load_presentation(args.file)
     if pres.stages is not None:
         outcome = run_all(pres.ctx, pres.stages)
-        if isinstance(outcome, InputErrorOutcome):
-            raise InputError(outcome.diagnostic)
         if isinstance(outcome, WeylWitness) and outcome.unprocessed:
             sys.stdout.write(
                 "ok (terminal witness at stage "
@@ -164,13 +159,7 @@ def _cmd_check(args) -> int:
             )
             return EXIT_OK
     if pres.block is not None and pres.block.images is not None:
-        der = pres.block.derivation()
-        violation = validate_derivation(der)
-        if violation is not None:
-            raise InputError(
-                "derivation images violate the relation between "
-                f"{pres.block.names[violation.i]!r} and {pres.block.names[violation.j]!r}"
-            )
+        _validated_derivation(pres.block)
     sys.stdout.write("ok\n")
     return EXIT_OK
 

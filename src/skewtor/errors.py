@@ -70,6 +70,9 @@ class Inconsistent(InternalError):
 
 
 class NotNormal(InternalError):
+    """A new generator fails a normality identity; ``residual`` is the nonzero
+    torus element the identity leaves."""
+
     def __init__(self, message: str, generator: str = "", residual=None):
         self.generator = generator
         self.residual = residual

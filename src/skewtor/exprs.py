@@ -49,7 +49,7 @@ class Sum:
     terms: tuple[tuple[int, object], ...]
 
 
-Expr = object
+Expr = Rat | Pow | Term | Sum
 
 
 def names_in(node: Expr) -> set[str]:

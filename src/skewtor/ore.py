@@ -1,9 +1,11 @@
-"""Transient arithmetic in the Ore extension of a torus by one variable z.
+"""Elements of the Ore extension of a torus by one variable z.
 
 Elements are left-coefficient polynomials ``sum t_k z^k`` with torus
-coefficients and the mixed relation ``z r = sigma(r) z + delta(r)``.  This
-representation exists only while certifying normality of a new generator or
-a Weyl-algebra witness; the persistent algebra is always a pure torus.
+coefficients and the mixed relation ``z r = sigma(r) z + delta(r)``.  The
+engine uses this type only as the record of a Weyl witness ``u, p``, which
+has degree at most 1 in z; it checks its certificates as torus identities.
+The general product below is the independent reference that the tests
+compare those checks against.
 """
 
 from __future__ import annotations

@@ -11,12 +11,13 @@ derivation the run stops and produces an explicit pair ``u, p`` with
 generator is the normal element ``y x_i - t`` where ``y`` is the product of
 the generators carrying locally inner components and ``t`` collects their
 inducers together with the inner part.  Whatever is appended is certified
-symbolically before the next stage starts.
+before the next stage starts, by torus identities that the one-variable
+Ore extension reduces it to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import (
@@ -26,6 +27,7 @@ from .errors import (
     NonEigenvector,
     NotADerivation,
     NotNormal,
+    SkewtorError,
 )
 from .exprs import Expr, evaluate
 from .ore import OreElement
@@ -50,7 +52,9 @@ from .torus import (
     TorusElement,
     elem_inv,
     elem_mul,
+    elem_pow,
     elem_scale,
+    indicator,
     membership,
     monomial_inverse,
 )
@@ -83,7 +87,7 @@ class Derived:
     t: TorusElement  # the subtracted part: new generator = y * x_stage - t
 
 
-Provenance = object
+Provenance = Original | Derived
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,8 @@ class TorusEmbedding:
 class WeylWitness:
     stage: int
     weight: ExponentVec
-    u: OreElement
-    p: OreElement
+    u: OreElement  # (a_i x^(weight + e_i))^-1 (z - shift), of degree 1 in z
+    p: OreElement  # the generator x_i
     certified: bool
     trace: tuple[StageReport, ...]
     names: tuple[str, ...] = ()  # canonical names of the ambient, z excluded
@@ -160,32 +164,20 @@ class WeylWitness:
     unprocessed: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class InputErrorOutcome:
-    diagnostic: str
-
-
-Outcome = object
+Outcome = TorusEmbedding | WeylWitness
 
 
 # -- stage machinery ----------------------------------------------------------
 
 
-def eigenvalue_of_generator(
-    state: AlgebraState, taueigs: Sequence[UnitMonomial], g: int
-) -> UnitMonomial:
-    """Eigenvalue of canonical generator g under the map scaling original k
-    by taueigs[k]; verified against the provenance data."""
-    return canonical_eigenvalues(state, taueigs, upto=g + 1)[g]
-
-
 def canonical_eigenvalues(
-    state: AlgebraState, taueigs: Sequence[UnitMonomial], upto: int | None = None
+    state: AlgebraState, taueigs: Sequence[UnitMonomial]
 ) -> tuple[UnitMonomial, ...]:
+    """Eigenvalues of the canonical generators under the map scaling original
+    k by taueigs[k]; verified against the provenance data."""
     ctx = state.ctx
-    count = state.n if upto is None else upto
     eigs: list[UnitMonomial] = []
-    for g in range(count):
+    for g in range(state.n):
         prov = state.provenance[g]
         if isinstance(prov, Original):
             rho = taueigs[prov.k]
@@ -212,13 +204,7 @@ def _eval_in_state(state: AlgebraState, tree: Expr) -> TorusElement:
 
     def atom(name: str, k: int) -> TorusElement:
         if name in bindings:
-            base = bindings[name]
-            if k >= 0:
-                out = TorusElement.one(ctx, n)
-                for _ in range(k):
-                    out = elem_mul(Q, out, base)
-                return out
-            return _power(Q, elem_inv(Q, base), -k)
+            return elem_pow(Q, bindings[name], k)
         if name in ctx.names:
             return TorusElement.scalar(ctx, n, FieldElement.parameter(ctx, name, k))
         raise InputError(f"unknown generator or parameter {name!r}")
@@ -236,13 +222,6 @@ def _eval_in_state(state: AlgebraState, tree: Expr) -> TorusElement:
         return elem_scale(c.inv(), a)
 
     return evaluate(tree, constant, atom, multiply, divide)
-
-
-def _power(Q: CommutationMatrix, base: TorusElement, k: int) -> TorusElement:
-    out = TorusElement.one(base.ctx, base.n)
-    for _ in range(k):
-        out = elem_mul(Q, out, base)
-    return out
 
 
 def translate_derivation(
@@ -271,14 +250,11 @@ def translate_derivation(
         if isinstance(prov, Original):
             im = deltas[prov.k]
         else:
-            partial = SkewDerivation(
+            # only ever applied to earlier generators
+            partial = SkewDerivation.trusted(
                 Q, sigma, tuple(images) + tuple(TorusElement.zero(ctx, n) for _ in range(n - g))
             )
-            partial._validated = True  # only ever applied to earlier generators
-            y_exps = [0] * n
-            for j in prov.J:
-                y_exps[j] = 1
-            y = TorusElement.monomial(ctx, n, tuple(y_exps))
+            y = TorusElement.monomial(ctx, n, indicator(n, prov.J))
             im = elem_mul(Q, apply_auto(sigma, y), deltas[prov.stage])
             im = im + elem_mul(Q, extend_derivation(partial, y), state.orig_expr[prov.stage])
             im = im - extend_derivation(partial, prov.t)
@@ -318,41 +294,46 @@ def verify_normal(
     Returns the table of unit scalars c with ``v g = c g v``, one per
     canonical generator and one for z itself.  The z entry is None when no
     single scalar works (v is still normal as a set in that case).
+
+    Moving z past a torus element with ``z r = sigma(r) z + delta(r)`` turns
+    ``v x_l = c x_l v`` into the monomial identity ``lambda_l y x_l = c x_l y``
+    (the z coefficients) plus the torus identity
+    ``y delta(x_l) - t x_l + c x_l t = 0``.  With ``nu`` the eigenvalue of y,
+    ``v z = nu^-1 z v`` holds exactly when ``delta(t) = 0`` and
+    ``sigma(t) - delta(y) = nu t``.
     """
     ctx, n, Q = state.ctx, state.n, state.Q
     sigma = delta.sigma
-    y_exps = [0] * n
-    for j in J:
-        y_exps[j] = 1
-    y = TorusElement.monomial(ctx, n, tuple(y_exps))
-    z = OreElement.variable(delta)
-    v = OreElement.make(delta, {1: y, 0: -t})
+    y = TorusElement.monomial(ctx, n, indicator(n, J))
 
     table: list[tuple[str, UnitMonomial | None]] = []
     for l in range(n):
-        g = OreElement.from_torus(delta, state.generator(l))
-        expected = sigma.lambdas[l] * normalizing_scalar(Q, J, _unit(n, l)).inv()
-        lhs = v * g
-        rhs = (g * v).scale(FieldElement.from_unit(expected))
-        if lhs != rhs:
-            raise NotNormal(
-                f"new generator fails normality against {state.names[l]!r}",
-                generator=state.names[l],
-                residual=lhs - rhs,
-            )
-        table.append((state.names[l], expected))
+        x = state.generator(l)
+        scalar = sigma.lambdas[l] * normalizing_scalar(Q, J, indicator(n, (l,))).inv()
+        c = FieldElement.from_unit(scalar)
+        lam = FieldElement.from_unit(sigma.lambdas[l])
+        z_part = elem_scale(lam, elem_mul(Q, y, x)) - elem_scale(c, elem_mul(Q, x, y))
+        torus_part = (
+            elem_mul(Q, y, delta.images[l])
+            - elem_mul(Q, t, x)
+            + elem_scale(c, elem_mul(Q, x, t))
+        )
+        for residual in (z_part, torus_part):
+            if not residual.is_zero():
+                raise NotNormal(
+                    f"new generator fails normality against {state.names[l]!r}",
+                    generator=state.names[l],
+                    residual=residual,
+                )
+        table.append((state.names[l], scalar))
 
-    nu = um_prod(ctx, (sigma.lambdas[j] for j in J))
-    lhs = v * z
-    rhs = (z * v).scale(FieldElement.from_unit(nu.inv()))
-    table.append(("z", nu.inv() if lhs == rhs else None))
+    nu = sigma.eigenvalue(indicator(n, J))
+    z_normal = extend_derivation(delta, t).is_zero() and (
+        apply_auto(sigma, t) - extend_derivation(delta, y)
+        == elem_scale(FieldElement.from_unit(nu), t)
+    )
+    table.append(("z", nu.inv() if z_normal else None))
     return tuple(table)
-
-
-def _unit(n: int, i: int) -> ExponentVec:
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
 
 
 @dataclass(frozen=True)
@@ -399,10 +380,7 @@ def extend_by_ore(
         return outer_weight, tuple(reports)
 
     J = tuple(sorted({j for j, _ in locals_}))
-    y_exps = [0] * n
-    for j in J:
-        y_exps[j] = 1
-    y = TorusElement.monomial(ctx, n, tuple(y_exps))
+    y = TorusElement.monomial(ctx, n, indicator(n, J))
 
     t = TorusElement.zero(ctx, n)
     sig_phi_parts: list[TorusElement] = []
@@ -427,17 +405,8 @@ def extend_by_ore(
                     "normalizing and stage eigenvalues disagree on the deleted part"
                 )
 
-    new_row = tuple(
-        sigma.lambdas[l] * normalizing_scalar(Q, J, _unit(n, l)).inv()
-        for l in range(n)
-    )
     table = verify_normal(state, delta, J, t)
-    for (label, got), expected in zip(table[:-1], new_row):
-        if got != expected:
-            raise NotNormal(
-                f"certified scalar for {label!r} does not match the appended row",
-                generator=label,
-            )
+    new_row = tuple(scalar for _, scalar in table[:-1])
     new_space = SelectiveSpace(Q.append_row(new_row), state.inverted | set(J))
     return Extension(new_space, J, t, new_row, tuple(reports), table)
 
@@ -446,13 +415,15 @@ def weyl_witness(
     state: AlgebraState,
     delta: SkewDerivation,
     weight: ExponentVec,
-) -> tuple[OreElement, OreElement, bool]:
+) -> tuple[OreElement, OreElement]:
     """Produce u, p with u p - p u = 1 in the extension by z.
 
-    u is (a_i x^(weight + e_i))^-1 (z - shift) where a_i is a nonzero
-    coefficient of the conjugate-to-derivation component and the shift
-    removes every component that is inner on the full torus.  The identity
-    is verified symbolically before returning.
+    u is L^-1 (z - shift) with L = a_i x^(weight + e_i), where a_i is a
+    nonzero coefficient of the conjugate-to-derivation component and the
+    shift removes every component that is inner on the full torus; p = x_i.
+    Moving z past x_i gives ``u p - p u = (lambda_i L^-1 x_i - x_i L^-1) z
+    + L^-1 (delta(x_i) - shift x_i) + x_i L^-1 shift``, so the identity is a
+    monomial check plus a torus identity, both verified before returning.
     """
     ctx, n, Q = state.ctx, state.n, state.Q
     sigma = delta.sigma
@@ -471,35 +442,58 @@ def weyl_witness(
     i = next(k for k in range(n) if not target.coeffs[k].is_zero())
     g = list(weight)
     g[i] += 1
-    lead = TorusElement.monomial(ctx, n, tuple(g), target.coeffs[i])
-    u = OreElement.make(delta, {1: TorusElement.one(ctx, n), 0: -shift})
-    u = OreElement.from_torus(delta, elem_inv(Q, lead)) * u
-    p = OreElement.from_torus(delta, state.generator(i))
-    one = OreElement.from_torus(delta, TorusElement.one(ctx, n))
-    certified = (u * p - p * u) == one
-    if not certified:
+    lead_inv = elem_inv(Q, TorusElement.monomial(ctx, n, tuple(g), target.coeffs[i]))
+    x = state.generator(i)
+    lam = FieldElement.from_unit(sigma.lambdas[i])
+    x_lead_inv = elem_mul(Q, x, lead_inv)
+    z_part = elem_scale(lam, elem_mul(Q, lead_inv, x)) - x_lead_inv
+    torus_part = (
+        elem_mul(Q, lead_inv, delta.images[i] - elem_mul(Q, shift, x))
+        + elem_mul(Q, x_lead_inv, shift)
+    )
+    if not z_part.is_zero() or torus_part != TorusElement.one(ctx, n):
         raise Inconsistent(
             "Weyl certificate failed to verify; the derivation has "
             "conjugate-to-derivation components at several weights"
         )
-    return u, p, certified
+    u = OreElement.make(delta, {1: lead_inv, 0: elem_mul(Q, lead_inv, -shift)})
+    return u, OreElement.from_torus(delta, x)
+
+
+def _adjoin(
+    state: AlgebraState,
+    space: SelectiveSpace,
+    name: str,
+    prov: Provenance,
+    orig_name: str,
+    orig_expr: TorusElement,
+) -> AlgebraState:
+    """Append one canonical generator, and the expression of one original
+    generator, to the state; earlier data is padded to the new size."""
+    n = space.n
+    return AlgebraState(
+        state.ctx,
+        space.Q,
+        space.inverted,
+        state.names + (name,),
+        tuple(_pad_prov(p, n) for p in state.provenance) + (prov,),
+        state.orig_names + (orig_name,),
+        tuple(e.extend_to(n) for e in state.orig_expr) + (orig_expr,),
+    )
 
 
 def run_stage(
     state: AlgebraState, stage: StageSpec, stage_no: int
 ) -> tuple[AlgebraState, StageReport] | WeylWitness:
-    ctx = state.ctx
-    if state.n == 0:
+    ctx, n = state.ctx, state.n
+    new_n = n + 1
+    if n == 0:
         if stage.sigma_eigs:
             raise InputError("the first stage takes no eigenvalue data")
-        new_state = AlgebraState(
-            ctx,
-            CommutationMatrix(ctx, [[UnitMonomial.one(ctx)]]),
-            frozenset(),
-            (stage.name,),
-            (Original(0),),
-            (stage.name,),
-            (TorusElement.generator(ctx, 1, 0),),
+        space = SelectiveSpace(CommutationMatrix(ctx, [[UnitMonomial.one(ctx)]]), frozenset())
+        new_state = _adjoin(
+            state, space, stage.name, Original(0), stage.name,
+            TorusElement.generator(ctx, 1, 0),
         )
         report = StageReport(
             stage_no, stage.name, stage.name, (), (), (), None, (), ()
@@ -507,61 +501,39 @@ def run_stage(
         return new_state, report
 
     delta, sigma = translate_derivation(state, stage)
-    n = state.n
 
     if delta.is_zero():
-        canonical_name = stage.name
         new_row = sigma.lambdas
-        new_Q = state.Q.append_row(new_row)
-        new_n = n + 1
-        t = TorusElement.zero(ctx, new_n)
-        new_state = AlgebraState(
-            ctx,
-            new_Q,
-            state.inverted,
-            state.names + (canonical_name,),
-            tuple(
-                _pad_prov(p, new_n) for p in state.provenance
-            ) + (Derived((), len(state.orig_names), t),),
-            state.orig_names + (stage.name,),
-            tuple(e.extend_to(new_n) for e in state.orig_expr)
-            + (TorusElement.generator(ctx, new_n, new_n - 1),),
+        space = SelectiveSpace(state.Q.append_row(new_row), state.inverted)
+        prov = Derived((), len(state.orig_names), TorusElement.zero(ctx, new_n))
+        new_state = _adjoin(
+            state, space, stage.name, prov, stage.name,
+            TorusElement.generator(ctx, new_n, n),
         )
         report = StageReport(
-            stage_no, stage.name, canonical_name, sigma.lambdas, (), (), None,
+            stage_no, stage.name, stage.name, sigma.lambdas, (), (), None,
             new_row, (),
         )
         return new_state, report
 
     result = extend_by_ore(state, delta)
     if isinstance(result, tuple):
-        weight, reports = result
-        u, p, certified = weyl_witness(state, delta, weight)
+        weight, _ = result
+        u, p = weyl_witness(state, delta, weight)
         return WeylWitness(
-            stage_no, weight, u, p, certified, trace=(),
+            stage_no, weight, u, p, certified=True, trace=(),
             names=state.names, var_name=stage.name,
         )
 
     ext = result
     canonical_name = stage.rename or f"w{stage_no}"
-    new_n = n + 1
     t_new = ext.t.extend_to(new_n)
-    orig_index = len(state.orig_names)
     # x_i = y^-1 (v + t), evaluated in the extended matrix
-    y_exps = tuple(1 if i in ext.J else 0 for i in range(n)) + (0,)
-    y_inv = monomial_inverse(ext.space.Q, y_exps)
-    v_plus_t = TorusElement.generator(ctx, new_n, new_n - 1) + t_new
-    new_expr = elem_mul(ext.space.Q, y_inv, v_plus_t)
-
-    new_state = AlgebraState(
-        ctx,
-        ext.space.Q,
-        ext.space.inverted,
-        state.names + (canonical_name,),
-        tuple(_pad_prov(p, new_n) for p in state.provenance)
-        + (Derived(ext.J, orig_index, t_new),),
-        state.orig_names + (stage.name,),
-        tuple(e.extend_to(new_n) for e in state.orig_expr) + (new_expr,),
+    y_inv = monomial_inverse(ext.space.Q, indicator(new_n, ext.J))
+    v_plus_t = TorusElement.generator(ctx, new_n, n) + t_new
+    new_state = _adjoin(
+        state, ext.space, canonical_name, Derived(ext.J, len(state.orig_names), t_new),
+        stage.name, elem_mul(ext.space.Q, y_inv, v_plus_t),
     )
     report = StageReport(
         stage_no,
@@ -586,28 +558,18 @@ def _pad_prov(p: Provenance, n: int) -> Provenance:
 def run_all(ctx: ParameterContext, stages: Sequence[StageSpec]) -> Outcome:
     """Fold the stages; deterministic given the input."""
     if not stages:
-        return InputErrorOutcome("empty stages list")
+        raise InputError("empty stages list")
     state = empty_state(ctx)
     trace: list[StageReport] = []
     for idx, stage in enumerate(stages, start=1):
         try:
             result = run_stage(state, stage, idx)
-        except InputError as exc:
+        except SkewtorError as exc:
             exc.args = (f"stage {idx} ({stage.name!r}): {exc}",)
             raise
         if isinstance(result, WeylWitness):
             remaining = tuple(s.name for s in stages[idx:])
-            return WeylWitness(
-                result.stage,
-                result.weight,
-                result.u,
-                result.p,
-                result.certified,
-                tuple(trace),
-                names=result.names,
-                var_name=result.var_name,
-                unprocessed=remaining,
-            )
+            return replace(result, trace=tuple(trace), unprocessed=remaining)
         state, report = result
         trace.append(report)
     return TorusEmbedding(state, tuple(trace))

@@ -7,7 +7,6 @@ be fed back into the tool.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .exprs import format_laurent, format_monomial, join_terms
 from .scalars import FieldElement, LaurentPoly, UnitMonomial
@@ -76,7 +75,3 @@ def render_element(u: TorusElement, names: tuple[str, ...]) -> str:
 
 def render_exponents(e: tuple[int, ...]) -> str:
     return "(" + ", ".join(str(k) for k in e) + ")"
-
-
-def render_rational(c: Fraction) -> str:
-    return str(c)

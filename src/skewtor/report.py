@@ -8,7 +8,6 @@ from typing import Any
 from .orechain import (
     AlgebraState,
     Derived,
-    InputErrorOutcome,
     Original,
     StageReport,
     TorusEmbedding,
@@ -79,8 +78,6 @@ def _stage_dict(rep: StageReport, names: tuple[str, ...]) -> dict[str, Any]:
 
 
 def build_report(outcome, ctx, trace_wanted: bool = True) -> dict[str, Any]:
-    if isinstance(outcome, InputErrorOutcome):
-        return {"outcome": "error", "diagnostic": outcome.diagnostic}
     if isinstance(outcome, TorusEmbedding):
         state = outcome.state
         rep: dict[str, Any] = {
@@ -146,8 +143,6 @@ def to_json(report: dict[str, Any]) -> str:
 def to_text(report: dict[str, Any]) -> str:
     lines: list[str] = []
     kind = report.get("outcome")
-    if kind == "error":
-        return f"error: {report['diagnostic']}\n"
     for stage in report.get("trace", []):
         lines.append(f"Stage {stage['stage']} (adjoining {stage['name']}):")
         if stage["lambda"]:

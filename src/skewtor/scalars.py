@@ -99,9 +99,6 @@ class UnitMonomial:
     def parameter(cls, ctx: ParameterContext, name: str, power: int = 1) -> UnitMonomial:
         return cls(ctx, 1, ctx.unit_exps(name, power))
 
-    def is_one(self) -> bool:
-        return self.coeff == 1 and all(e == 0 for e in self.exps)
-
     def __mul__(self, other: UnitMonomial) -> UnitMonomial:
         return UnitMonomial(
             self.ctx,
@@ -133,16 +130,6 @@ class UnitMonomial:
     def to_field(self) -> FieldElement:
         num = LaurentPoly(self.ctx, {self.exps: self.coeff})
         return FieldElement(num, LaurentPoly.one(self.ctx))
-
-
-def um_pow(u: UnitMonomial, k: int) -> UnitMonomial:
-    return u.pow(k)
-
-
-def um_eq(u: UnitMonomial, v: UnitMonomial) -> bool:
-    if u.ctx != v.ctx:
-        raise ValueError("unit monomials from different parameter contexts")
-    return u == v
 
 
 def um_prod(ctx: ParameterContext, factors: Iterable[UnitMonomial]) -> UnitMonomial:
@@ -307,9 +294,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self == FieldElement.one(self.ctx)
 
     def as_unit(self) -> UnitMonomial | None:
         """This element as a unit monomial, or None if it is not one."""
@@ -477,16 +461,3 @@ def _univariate_reduce(
         return LaurentPoly(ctx, terms)
 
     return back(qn, lo_n), back(qd, lo_d)
-
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch one of ``add | sub | mul | div`` on two field elements."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

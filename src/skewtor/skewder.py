@@ -32,6 +32,7 @@ from .torus import (
     elem_mul,
     elem_scale,
     exceptional_index,
+    indicator,
     is_central,
     monomial_inverse,
     qrs,
@@ -58,9 +59,6 @@ class ToricAutomorphism:
 
     def eigenvalue(self, d: ExponentVec) -> UnitMonomial:
         return um_prod(self.ctx, (l.pow(k) for l, k in zip(self.lambdas, d) if k))
-
-    def inverse(self) -> ToricAutomorphism:
-        return ToricAutomorphism(self.ctx, tuple(l.inv() for l in self.lambdas))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ToricAutomorphism) and self.lambdas == other.lambdas
@@ -94,6 +92,19 @@ class SkewDerivation:
         self.sigma = sigma
         self.images = tuple(images)
         self._validated = False
+
+    @classmethod
+    def trusted(
+        cls,
+        Q: CommutationMatrix,
+        sigma: ToricAutomorphism,
+        images: Sequence[TorusElement],
+    ) -> SkewDerivation:
+        """A derivation its caller knows to respect the relations; it is not
+        validated again."""
+        d = cls(Q, sigma, images)
+        d._validated = True
+        return d
 
     @property
     def ctx(self) -> ParameterContext:
@@ -138,9 +149,8 @@ def inner_derivation(
             FieldElement.from_unit(sig.lambdas[j]), elem_mul(Q, xj, a)
         )
         images.append(im)
-    d = SkewDerivation(Q, sig, images)
-    d._validated = True  # inner derivations satisfy the relations identically
-    return d
+    # inner derivations satisfy the relations identically
+    return SkewDerivation.trusted(Q, sig, images)
 
 
 def validate_derivation(d: SkewDerivation) -> Violation | None:
@@ -269,15 +279,6 @@ class HomogeneousComponent:
         e[j] += 1
         return TorusElement(ctx, n, {tuple(e): self.coeffs[j]})
 
-    def to_derivation(
-        self, Q: CommutationMatrix, sigma: ToricAutomorphism
-    ) -> SkewDerivation:
-        d = SkewDerivation(
-            Q, sigma, tuple(self.image(Q.ctx, j) for j in range(len(self.weight)))
-        )
-        validate_derivation(d)
-        return d
-
 
 def decompose_homogeneous(d: SkewDerivation) -> list[HomogeneousComponent]:
     """Split into homogeneous components, sorted by weight."""
@@ -293,19 +294,6 @@ def decompose_homogeneous(d: SkewDerivation) -> list[HomogeneousComponent]:
             w = tuple(w)
             buckets.setdefault(w, [zero] * n)[j] = c
     return [HomogeneousComponent(w, tuple(buckets[w])) for w in sorted(buckets)]
-
-
-def reconstruct(
-    Q: CommutationMatrix,
-    sigma: ToricAutomorphism,
-    comps: Sequence[HomogeneousComponent],
-) -> SkewDerivation:
-    n = Q.n
-    images = [TorusElement.zero(Q.ctx, n) for _ in range(n)]
-    for comp in comps:
-        for j in range(n):
-            images[j] = images[j] + comp.image(Q.ctx, j)
-    return SkewDerivation(Q, sigma, images)
 
 
 # -- classification -----------------------------------------------------------
@@ -333,7 +321,7 @@ class ZeroDerivation:
     pass
 
 
-Classification = object
+Classification = Inner | LocallyInner | OuterConjugate | ZeroDerivation
 
 
 def _check_compat(
@@ -548,15 +536,9 @@ def classify_extension(
             zi = zi + elem_mul(
                 Q,
                 elem_mul(Q, winv, comp.image(ctx, i)),
-                monomial_inverse(Q, _unit_vec(n, i)),
+                monomial_inverse(Q, indicator(n, (i,))),
             )
         if not is_central(torus, zi):
             raise Inconsistent(f"derivation multiplier for generator {i} is not central")
         multipliers.append(zi)
     return DerivationType(witness, shift, tuple(multipliers))
-
-
-def _unit_vec(n: int, i: int) -> ExponentVec:
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexOutOfRange, InputError, LimitExceeded
@@ -20,17 +19,27 @@ from .scalars import FieldElement, ParameterContext, UnitMonomial, um_prod
 
 ExponentVec = tuple[int, ...]
 
+
+def indicator(n: int, J: Iterable[int]) -> ExponentVec:
+    """The exponent vector with 1 at every index in J and 0 elsewhere."""
+    J = frozenset(J)
+    return tuple(1 if i in J else 0 for i in range(n))
+
+
 _DEFAULT_MAX_SUPPORT = 100_000
 
 
 def _max_support() -> int:
     raw = os.environ.get("SKEWTOR_MAX_DEGREE", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return _DEFAULT_MAX_SUPPORT
+    if not raw:
+        return _DEFAULT_MAX_SUPPORT
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InputError(f"SKEWTOR_MAX_DEGREE must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _guard(size: int) -> None:
@@ -179,9 +188,6 @@ class TorusElement:
 
     # -- structure ----------------------------------------------------------
 
-    def support(self) -> list[ExponentVec]:
-        return sorted(self.terms)
-
     def __iter__(self) -> Iterator[tuple[ExponentVec, FieldElement]]:
         for e in sorted(self.terms):
             yield e, self.terms[e]
@@ -278,10 +284,6 @@ def elem_mul(Q: CommutationMatrix, u: TorusElement, v: TorusElement) -> TorusEle
     return TorusElement(u.ctx, u.n, out)
 
 
-def elem_add(u: TorusElement, v: TorusElement) -> TorusElement:
-    return u + v
-
-
 def elem_scale(c: FieldElement, u: TorusElement) -> TorusElement:
     if c.is_zero():
         return TorusElement.zero(u.ctx, u.n)
@@ -369,11 +371,3 @@ def apply_scaling(
         u.n,
         {e: c * FieldElement.from_unit(factor(e)) for e, c in u.terms.items()},
     )
-
-
-def elem_div_scalar(u: TorusElement, c: FieldElement) -> TorusElement:
-    return elem_scale(c.inv(), u)
-
-
-def from_fraction(ctx: ParameterContext, n: int, c: Fraction) -> TorusElement:
-    return TorusElement.scalar(ctx, n, FieldElement.rational(ctx, c))

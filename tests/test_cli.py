@@ -117,6 +117,28 @@ def test_check_valid_and_invalid(tmp_path, capsys):
     assert "'a'" in err and "'b'" in err
 
 
+def test_internal_error_names_its_stage(tmp_path, capsys):
+    # K[x1, x2] extended by z with sigma = id, delta(x1) = 1 + x2: a valid
+    # input whose two outer components at one generator defeat the witness
+    f = tmp_path / "two_outer.json"
+    f.write_text(
+        json.dumps(
+            {
+                "parameters": [],
+                "stages": [
+                    {"name": "x1"},
+                    {"name": "x2", "sigma": ["1"]},
+                    {"name": "z", "sigma": ["1", "1"], "delta": ["1 + x2", "0"]},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(["run", str(f)], capsys)
+    assert code == 2
+    assert "stage 3 ('z')" in err
+
+
 def test_check_terminal_witness_ok(capsys):
     code, out, _ = run_cli(["check", f"{P}/qmat2x2_caseB.json"], capsys)
     assert code == 0

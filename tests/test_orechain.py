@@ -8,8 +8,10 @@ import pytest
 from skewtor import (
     CommutationMatrix,
     FieldElement,
+    InputError,
     NonEigenvector,
     NotADerivation,
+    NotNormal,
     OreElement,
     ParameterContext,
     SelectiveSpace,
@@ -30,7 +32,14 @@ from skewtor import (
     validate_derivation,
     verify_normal,
 )
-from skewtor.orechain import Derived, _eval_in_state, canonical_eigenvalues
+from skewtor.orechain import (
+    Derived,
+    _eval_in_state,
+    canonical_eigenvalues,
+    empty_state,
+    run_stage,
+    translate_derivation,
+)
 from skewtor.presentation import (
     load_presentation,
     parse_element,
@@ -38,6 +47,7 @@ from skewtor.presentation import (
     parse_unit,
 )
 from skewtor.report import build_report, to_json
+from skewtor.torus import indicator
 
 from helpers import random_auto, random_element, random_matrix
 
@@ -74,6 +84,85 @@ def test_ore_relation():
     assert (z * (x * y)) == ((z * x) * y)
 
 
+# -- the Ore product as a reference for the certificates ------------------------
+
+
+def assert_weyl_pair(out):
+    """Re-check u*p - p*u = 1 with the general Ore product."""
+    u, p = out.u, out.p
+    one = OreElement.from_torus(u.delta, TorusElement.one(u.delta.ctx, u.delta.n))
+    assert u * p - p * u == one
+
+
+def reference_normal_table(state, der, J, t):
+    """The normality table of v = y z - t, computed in the Ore extension.
+
+    Each scalar is read off the leading z coefficients and then required to
+    relate the whole products; the z entry is None when it does not.
+    """
+    n = state.n
+    y = TorusElement.monomial(state.ctx, n, indicator(n, J))
+    v = OreElement.make(der, {1: y, 0: -t})
+
+    def scalar(g, top):
+        lhs, rhs = v * g, g * v
+        (_, a), (_, b) = (
+            lhs.as_dict()[top].single_term(), rhs.as_dict()[top].single_term()
+        )
+        c = a / b
+        return c.as_unit() if lhs == rhs.scale(c) else None
+
+    table = [
+        (name, scalar(OreElement.from_torus(der, state.generator(l)), 1))
+        for l, name in enumerate(state.names)
+    ]
+    table.append(("z", scalar(OreElement.variable(der), 2)))
+    return tuple(table)
+
+
+def test_verify_normal_matches_the_ore_product_on_qmat3():
+    pres = load_presentation(f"{P}/qmat3.json")
+    state = empty_state(pres.ctx)
+    checked = 0
+    for no, stage in enumerate(pres.stages, start=1):
+        if state.n:
+            der, _ = translate_derivation(state, stage)
+            ext = None if der.is_zero() else extend_by_ore(state, der)
+            if ext is not None:
+                table = verify_normal(state, der, ext.J, ext.t)
+                assert table == ext.normal_table
+                assert table == reference_normal_table(state, der, ext.J, ext.t), no
+                checked += 1
+        state, _ = run_stage(state, stage, no)
+    assert checked == 4  # the stages adjoining x22, x23, x32 and x33
+
+
+def test_verify_normal_rejects_a_wrong_t():
+    ctx = ParameterContext(["q"])
+    U = lambda s: parse_unit(s, ctx)
+    Q = CommutationMatrix.from_upper(ctx, 2, {(0, 1): U("q^2")})
+    names = ("K", "E")
+    E_ = lambda s: parse_element(s, ctx, Q, names)
+    sig = ToricAutomorphism(ctx, (U("q^2"), U("1")))
+    c = parse_scalar("1/(q - q^-1)", ctx)
+    der = SkewDerivation(Q, sig, (E_("0"), elem_scale(c, E_("K^-1 - K"))))
+    assert validate_derivation(der) is None
+
+    from skewtor.orechain import AlgebraState, Original
+
+    state = AlgebraState(
+        ctx, Q, frozenset({0}), names, (Original(0), Original(1)), names,
+        (E_("K"), E_("E")),
+    )
+    ext = extend_by_ore(state, der)
+    with pytest.raises(NotNormal) as exc:
+        verify_normal(state, der, ext.J, ext.t + E_("K"))
+    # K commutes with the extra term; E does not
+    assert exc.value.generator == "E" and "'E'" in str(exc.value)
+    assert isinstance(exc.value.residual, TorusElement)
+    assert not exc.value.residual.is_zero()
+
+
 # -- single stages -------------------------------------------------------------
 
 
@@ -93,6 +182,7 @@ def test_weyl_witness_constant_image():
     one = TorusElement.one(pres.ctx, 1)
     assert out.u.as_dict() == {1: one}
     assert out.p.as_dict() == {0: TorusElement.generator(pres.ctx, 1, 0)}
+    assert_weyl_pair(out)
 
 
 def test_weyl_witness_scaling_derivation():
@@ -107,6 +197,30 @@ def test_weyl_witness_scaling_derivation():
     assert out.weight == (0,)
     assert out.u.as_dict() == {1: TorusElement.generator(ctx, 1, 0, -1)}
     assert out.certified
+    assert_weyl_pair(out)
+
+
+def test_weyl_witness_with_inner_shift():
+    # quantum plane, sigma = id, delta = (x1 -> x1, x2 -> 0) + ad_x1: the
+    # shift x1 removes the inner part, so u = x1^-1 (z - x1) = x1^-1 z - 1
+    ctx = ParameterContext(["q"])
+    stages = (
+        StageSpec("x1", (), ()),
+        StageSpec("x2", (parse_unit("q", ctx),), ()),
+        StageSpec(
+            "z",
+            (parse_unit("1", ctx), parse_unit("1", ctx)),
+            (json_expr("x1"), json_expr("x1*x2 - x2*x1")),
+        ),
+    )
+    out = run_all(ctx, stages)
+    assert isinstance(out, WeylWitness)
+    assert out.weight == (0, 0)
+    assert out.u.as_dict() == {
+        1: TorusElement.generator(ctx, 2, 0, -1),
+        0: -TorusElement.one(ctx, 2),
+    }
+    assert_weyl_pair(out)
 
 
 def json_expr(text):
@@ -223,6 +337,7 @@ def test_case_b_witness():
     assert isinstance(out, WeylWitness)
     assert out.stage == 4 and out.weight == (-1, 1, 1)
     assert out.certified
+    assert_weyl_pair(out)
     ctx = pres.ctx
     Q3 = CommutationMatrix.from_upper(
         ctx,
@@ -432,6 +547,7 @@ def test_unprocessed_stages_reported():
     out = run_all(ctx, stages)
     assert isinstance(out, WeylWitness)
     assert out.unprocessed == ("x3",)
+    assert_weyl_pair(out)
 
 
 # -- verify_normal as a standalone check ----------------------------------------
@@ -476,21 +592,18 @@ def test_verify_normal_uqsl2_casimir():
 
 
 def test_eigenvalue_of_generator_direct():
-    from skewtor import eigenvalue_of_generator
-
     pres = load_presentation(f"{P}/qmat3.json")
     out4 = run_all(pres.ctx, pres.stages[:4])
     U = lambda s: parse_unit(s, pres.ctx)
     taueigs = (U("q^-1"), U("q^-1"), U("1"), U("1"))
-    assert eigenvalue_of_generator(out4.state, taueigs, 3) == U("q^-1")
-    assert eigenvalue_of_generator(out4.state, taueigs, 0) == U("q^-1")
+    eigs = canonical_eigenvalues(out4.state, taueigs)
+    assert eigs[3] == U("q^-1")
+    assert eigs[0] == U("q^-1")
 
 
 def test_run_all_empty_stages():
-    from skewtor.orechain import InputErrorOutcome
-
-    out = run_all(ParameterContext([]), ())
-    assert isinstance(out, InputErrorOutcome)
+    with pytest.raises(InputError, match="empty stages list"):
+        run_all(ParameterContext([]), ())
 
 
 def test_qmat3_stage_lambdas_match_known_values():

@@ -13,7 +13,6 @@ from skewtor import (
     SelectiveSpace,
     TorusElement,
     UnitMonomial,
-    elem_add,
     elem_inv,
     elem_mul,
     elem_scale,
@@ -185,7 +184,7 @@ def test_elem_monomial_inverse():
 
 def test_elem_add_cancellation():
     u = E("q*x1*x2 - x2^2")
-    assert elem_add(u, elem_scale(FieldElement.rational(CTX, -1), u)).is_zero()
+    assert (u + elem_scale(FieldElement.rational(CTX, -1), u)).is_zero()
 
 
 def test_membership():
@@ -210,7 +209,7 @@ def test_membership_closed_under_ops():
     for _ in range(100):
         u, v = random_member(), random_member()
         assert membership(space, elem_mul(Q3, u, v))
-        assert membership(space, elem_add(u, v))
+        assert membership(space, u + v)
 
 
 def test_is_exceptional():
@@ -291,3 +290,8 @@ def test_support_limit_guard(monkeypatch):
     )
     with pytest.raises(LimitExceeded):
         elem_mul(QPLANE, big, E("1 + x2 + x2^2"))
+    # a bad value is an input error naming the setting, not a silent default
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("SKEWTOR_MAX_DEGREE", bad)
+        with pytest.raises(InputError, match="SKEWTOR_MAX_DEGREE must be a positive"):
+            big + big

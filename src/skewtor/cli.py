@@ -33,6 +33,7 @@ from .skewder import (
     extend_derivation,
     validate_derivation,
 )
+from .torus import max_support_from_environment
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -174,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
     }
     try:
-        return handlers[args.command](args)
+        with max_support_from_environment():
+            return handlers[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

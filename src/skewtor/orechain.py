@@ -55,6 +55,7 @@ from .torus import (
     elem_pow,
     elem_scale,
     indicator,
+    max_support_from_environment,
     membership,
     monomial_inverse,
 )
@@ -157,7 +158,6 @@ class WeylWitness:
     weight: ExponentVec
     u: OreElement  # (a_i x^(weight + e_i))^-1 (z - shift), of degree 1 in z
     p: OreElement  # the generator x_i
-    certified: bool
     trace: tuple[StageReport, ...]
     names: tuple[str, ...] = ()  # canonical names of the ambient, z excluded
     var_name: str = "z"
@@ -182,9 +182,9 @@ def canonical_eigenvalues(
         if isinstance(prov, Original):
             rho = taueigs[prov.k]
         else:
-            rho = um_prod(ctx, (eigs[j] for j in prov.J)) * taueigs[prov.stage]
+            rho = um_prod(ctx, ((eigs[j], 1) for j in prov.J)) * taueigs[prov.stage]
             for e, _ in prov.t:
-                val = um_prod(ctx, (eigs[i].pow(k) for i, k in enumerate(e) if k))
+                val = um_prod(ctx, zip(eigs, e))
                 if val != rho:
                     raise NonEigenvector(
                         f"generator {state.names[g]!r}: its defining element is "
@@ -277,10 +277,7 @@ def translate_derivation(
 
 def normalizing_scalar(Q: CommutationMatrix, J: Sequence[int], exps: ExponentVec) -> UnitMonomial:
     """Eigenvalue of x^exps under the normalizing map of y = prod_{j in J} x_j."""
-    return um_prod(
-        Q.ctx,
-        (Q.entry(l, j).pow(e) for j in J for l, e in enumerate(exps) if e),
-    )
+    return um_prod(Q.ctx, ((Q.entry(l, j), e) for j in J for l, e in enumerate(exps)))
 
 
 def verify_normal(
@@ -415,6 +412,7 @@ def weyl_witness(
     state: AlgebraState,
     delta: SkewDerivation,
     weight: ExponentVec,
+    reports: Sequence[ComponentReport],
 ) -> tuple[OreElement, OreElement]:
     """Produce u, p with u p - p u = 1 in the extension by z.
 
@@ -424,18 +422,26 @@ def weyl_witness(
     Moving z past x_i gives ``u p - p u = (lambda_i L^-1 x_i - x_i L^-1) z
     + L^-1 (delta(x_i) - shift x_i) + x_i L^-1 shift``, so the identity is a
     monomial check plus a torus identity, both verified before returning.
+
+    ``reports`` are the classifications ``extend_by_ore`` made on the
+    selective space, one per component.  A component inner or locally inner
+    there is inner on the torus with the same inducer (the same first
+    nonzero coefficient over the same drop).  One reported conjugate to a
+    derivation stays so on the torus, unless a cocycle mismatch at an
+    inverted index makes it inconsistent there; it is classified again on
+    the torus, which raises ``Inconsistent`` in that case.
     """
     ctx, n, Q = state.ctx, state.n, state.Q
     sigma = delta.sigma
     torus = state.space.torus()
-    comps = decompose_homogeneous(delta)
     shift = TorusElement.zero(ctx, n)
     target: HomogeneousComponent | None = None
-    for comp in comps:
-        cls = classify_component(comp, sigma, torus)
-        if isinstance(cls, (Inner, LocallyInner)):
-            shift = shift + cls.inducer
-        elif comp.weight == weight:
+    for comp, report in zip(decompose_homogeneous(delta), reports, strict=True):
+        if report.kind != "outer_conjugate":
+            shift = shift + report.inducer
+            continue
+        classify_component(comp, sigma, torus)
+        if comp.weight == weight:
             target = comp
     if target is None:
         raise Inconsistent(f"no conjugate-to-derivation component at weight {weight}")
@@ -518,11 +524,10 @@ def run_stage(
 
     result = extend_by_ore(state, delta)
     if isinstance(result, tuple):
-        weight, _ = result
-        u, p = weyl_witness(state, delta, weight)
+        weight, reports = result
+        u, p = weyl_witness(state, delta, weight, reports)
         return WeylWitness(
-            stage_no, weight, u, p, certified=True, trace=(),
-            names=state.names, var_name=stage.name,
+            stage_no, weight, u, p, trace=(), names=state.names, var_name=stage.name,
         )
 
     ext = result
@@ -561,15 +566,16 @@ def run_all(ctx: ParameterContext, stages: Sequence[StageSpec]) -> Outcome:
         raise InputError("empty stages list")
     state = empty_state(ctx)
     trace: list[StageReport] = []
-    for idx, stage in enumerate(stages, start=1):
-        try:
-            result = run_stage(state, stage, idx)
-        except SkewtorError as exc:
-            exc.args = (f"stage {idx} ({stage.name!r}): {exc}",)
-            raise
-        if isinstance(result, WeylWitness):
-            remaining = tuple(s.name for s in stages[idx:])
-            return replace(result, trace=tuple(trace), unprocessed=remaining)
-        state, report = result
-        trace.append(report)
+    with max_support_from_environment():
+        for idx, stage in enumerate(stages, start=1):
+            try:
+                result = run_stage(state, stage, idx)
+            except SkewtorError as exc:
+                exc.args = (f"stage {idx} ({stage.name!r}): {exc}",)
+                raise
+            if isinstance(result, WeylWitness):
+                remaining = tuple(s.name for s in stages[idx:])
+                return replace(result, trace=tuple(trace), unprocessed=remaining)
+            state, report = result
+            trace.append(report)
     return TorusEmbedding(state, tuple(trace))

@@ -16,13 +16,29 @@ Three layers:
   not reduced to lowest terms; only monomial content is normalized, and
   equality is decided by cross multiplication, which is exact regardless.
 
+Every ``FieldElement`` is kept in the form ``_normalize`` gives, and two
+fast paths skip recomputing it:
+
+* a denominator that is the constant 1 is already normal, so construction
+  leaves such a fraction as it is;
+* a unit factor (denominator 1 and one numerator term, as every commutation
+  scalar and eigenvalue is) multiplies the other factor as a shift and a
+  scale of its numerator over the same denominator.  ``_strip_den`` leaves
+  a primitive denominator alone and a monomial factor creates no monomial
+  quotient.  It can create a one-parameter gcd only by taking the last
+  parameter other than the denominator's out of the numerator, and that
+  case is normalized in full.
+
+Either way the stored terms are exactly those of the full path.
+
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DivisionByZero, UnknownIdentifier
@@ -69,20 +85,14 @@ class ParameterContext:
         return tuple(e)
 
 
-def _gcd_fraction(a: Fraction, b: Fraction) -> Fraction:
-    # gcd on Q: gcd of numerators over lcm of denominators, always >= 0
-    num = gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator) // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 class UnitMonomial:
     """A unit scalar: nonzero rational times a product of parameter powers."""
 
     __slots__ = ("ctx", "coeff", "exps")
 
     def __init__(self, ctx: ParameterContext, coeff, exps: Exponents | None = None):
-        coeff = Fraction(coeff)
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
         if coeff == 0:
             raise DivisionByZero("a unit monomial must have nonzero coefficient")
         self.ctx = ctx
@@ -128,15 +138,29 @@ class UnitMonomial:
         return f"UnitMonomial({self.coeff}, {self.exps})"
 
     def to_field(self) -> FieldElement:
-        num = LaurentPoly(self.ctx, {self.exps: self.coeff})
-        return FieldElement(num, LaurentPoly.one(self.ctx))
+        num = LaurentPoly._trusted(self.ctx, {self.exps: self.coeff})
+        return FieldElement(num, LaurentPoly.one(self.ctx), normalize=False)
 
 
-def um_prod(ctx: ParameterContext, factors: Iterable[UnitMonomial]) -> UnitMonomial:
-    out = UnitMonomial.one(ctx)
-    for f in factors:
-        out = out * f
-    return out
+def um_prod(
+    ctx: ParameterContext, factors: Iterable[tuple[UnitMonomial, int]]
+) -> UnitMonomial:
+    """The product of ``u^k`` over the pairs ``(u, k)``.
+
+    Parameter exponents are summed as integers; a coefficient is raised to
+    its power only when it is not 1.
+    """
+    coeff = Fraction(1)
+    exps = [0] * len(ctx)
+    for u, k in factors:
+        if not k:
+            continue
+        if u.coeff != 1:
+            coeff *= u.coeff**k
+        for i, e in enumerate(u.exps):
+            if e:
+                exps[i] += k * e
+    return UnitMonomial(ctx, coeff, tuple(exps))
 
 
 class LaurentPoly:
@@ -155,8 +179,17 @@ class LaurentPoly:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, ctx: ParameterContext, terms: dict[Exponents, Fraction]) -> LaurentPoly:
+        """Wrap terms known to be clean: tuple keys and nonzero ``Fraction``
+        values.  The dict is taken over, not copied."""
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, ctx: ParameterContext) -> LaurentPoly:
-        return cls(ctx)
+        return cls._trusted(ctx, {})
 
     @classmethod
     def one(cls, ctx: ParameterContext) -> LaurentPoly:
@@ -164,10 +197,17 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, ctx: ParameterContext, c) -> LaurentPoly:
-        return cls(ctx, {ctx.zero_exps(): Fraction(c)})
+        c = Fraction(c)
+        return cls._trusted(ctx, {ctx.zero_exps(): c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def is_one(self) -> bool:
+        if len(self.terms) != 1:
+            return False
+        ((exps, c),) = self.terms.items()
+        return c == 1 and not any(exps)
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(sorted(self.terms.items()))
@@ -184,15 +224,17 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
+            s = out.get(exps)
+            if s is None:
+                out[exps] = c
+            elif s := s + c:
                 out[exps] = s
             else:
-                out.pop(exps, None)
-        return LaurentPoly(self.ctx, out)
+                del out[exps]
+        return LaurentPoly._trusted(self.ctx, out)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
@@ -201,23 +243,31 @@ class LaurentPoly:
         out: dict[Exponents, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(a + b for a, b in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
+                e = tuple(map(add, ea, eb))
+                s = out.get(e)
+                if s is None:
+                    out[e] = ca * cb
+                elif s := s + ca * cb:
                     out[e] = s
                 else:
-                    out.pop(e, None)
-        return LaurentPoly(self.ctx, out)
+                    del out[e]
+        return LaurentPoly._trusted(self.ctx, out)
 
     def scale(self, c) -> LaurentPoly:
-        c = Fraction(c)
-        return LaurentPoly(self.ctx, {e: cc * c for e, cc in self.terms.items()})
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if c == 1:
+            return self
+        if not c:
+            return LaurentPoly.zero(self.ctx)
+        return LaurentPoly._trusted(self.ctx, {e: cc * c for e, cc in self.terms.items()})
 
     def shift(self, exps: Exponents) -> LaurentPoly:
         """Multiply by the monomial with the given exponent vector."""
-        return LaurentPoly(
-            self.ctx,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
+        if not any(exps):
+            return self
+        return LaurentPoly._trusted(
+            self.ctx, {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
         )
 
     def leading(self) -> tuple[Exponents, Fraction]:
@@ -227,10 +277,11 @@ class LaurentPoly:
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of the coefficients); 0 for 0."""
-        c = Fraction(0)
+        num, den = 0, 1
         for coeff in self.terms.values():
-            c = _gcd_fraction(c, abs(coeff))
-        return c
+            num = gcd(num, coeff.numerator)
+            den = lcm(den, coeff.denominator)
+        return Fraction(num, den)
 
     def monomial_content(self) -> Exponents:
         """Componentwise minimum of the exponent vectors."""
@@ -251,7 +302,8 @@ class FieldElement:
     """A quotient num/den of Laurent polynomials, den nonzero.
 
     Equality of a/b and c/d is the identity a*d == c*b, so the lack of full
-    gcd reduction never affects correctness.
+    gcd reduction never affects correctness.  ``normalize=False`` is for
+    callers that pass a pair already in the form ``_normalize`` gives.
     """
 
     __slots__ = ("num", "den")
@@ -259,7 +311,7 @@ class FieldElement:
     def __init__(self, num: LaurentPoly, den: LaurentPoly, normalize: bool = True):
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        if normalize:
+        if normalize and not den.is_one():
             num, den = _normalize(num, den)
         self.num = num
         self.den = den
@@ -317,7 +369,27 @@ class FieldElement:
         return FieldElement(-self.num, self.den, normalize=False)
 
     def __mul__(self, other: FieldElement) -> FieldElement:
+        unit = other._unit_term()
+        if unit is not None:
+            return self._times_unit(*unit)
+        unit = self._unit_term()
+        if unit is not None:
+            return other._times_unit(*unit)
         return FieldElement(self.num * other.num, self.den * other.den)
+
+    def _unit_term(self) -> tuple[Exponents, Fraction] | None:
+        """The one term ``c * p^e`` of this element when it is a unit with
+        denominator 1, else None."""
+        if len(self.num.terms) == 1 and self.den.is_one():
+            return next(iter(self.num.terms.items()))
+        return None
+
+    def _times_unit(self, exps: Exponents, c: Fraction) -> FieldElement:
+        num = self.num.shift(exps).scale(c)
+        if len(self.den.terms) > 1 and len(_parameters_used(num, self.den)) == 1:
+            # one parameter left in all: a gcd the full path cancels may be new
+            return FieldElement(num, self.den)
+        return FieldElement(num, self.den, normalize=False)
 
     def __truediv__(self, other: FieldElement) -> FieldElement:
         if other.is_zero():
@@ -391,18 +463,17 @@ def _monomial_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None
     return None
 
 
+def _parameters_used(*polys: LaurentPoly) -> set[int]:
+    """Indices of the parameters that occur with a nonzero exponent."""
+    return {i for poly in polys for e in poly.terms for i, k in enumerate(e) if k}
+
+
 def _univariate_reduce(
     num: LaurentPoly, den: LaurentPoly
 ) -> tuple[LaurentPoly, LaurentPoly] | None:
     """Cancel gcd when both operands involve at most one parameter."""
     ctx = num.ctx
-    used = {
-        i
-        for poly in (num, den)
-        for e in poly.terms
-        for i, k in enumerate(e)
-        if k != 0
-    }
+    used = _parameters_used(num, den)
     if len(used) != 1:
         return None
     (var,) = used

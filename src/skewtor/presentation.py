@@ -178,7 +178,8 @@ def _parse_block(raw: dict, ctx: ParameterContext) -> StandaloneBlock:
                 raise UnknownIdentifier(f"inverted refers to unknown generator {item!r}")
             inverted.add(names.index(item))
         else:
-            _require(isinstance(item, int) and 1 <= item <= len(names), "bad inverted index")
+            # JSON true arrives as a bool, which isinstance would take for the int 1
+            _require(type(item) is int and 1 <= item <= len(names), "bad inverted index")
             inverted.add(item - 1)
     space = SelectiveSpace(Q, frozenset(inverted))
 

@@ -9,19 +9,18 @@ Every validated derivation splits into homogeneous components, one per
 weight vector.  For a fixed weight exactly one of two things happens: some
 commutation cocycle ``q_j(d)`` differs from the eigenvalue ``lambda_j`` and
 the component is inner (or locally inner at a single generator when the
-weight dips to -1 there), or all cocycles match the eigenvalues, the
-automorphism is inner on the torus, and the component is conjugate to an
-honest derivation.  ``classify_component`` decides the case exactly.
+weight dips to -1 there), or all cocycles match the eigenvalues and the
+component is conjugate to an honest derivation.  In the second case the
+weight itself witnesses that the automorphism is inner on the torus: it is
+conjugation by ``x^-d``.  ``classify_component`` decides the case exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import Inconsistent, InputError, NotValidated
-from .lattice import solve_integer_system
 from .scalars import FieldElement, ParameterContext, UnitMonomial, um_prod
 from .torus import (
     CommutationMatrix,
@@ -32,9 +31,6 @@ from .torus import (
     elem_mul,
     elem_scale,
     exceptional_index,
-    indicator,
-    is_central,
-    monomial_inverse,
     qrs,
 )
 
@@ -198,33 +194,32 @@ def extend_derivation(d: SkewDerivation, u: TorusElement) -> TorusElement:
     mono_cache: dict[ExponentVec, TorusElement] = {}
 
     def delta_power(j: int, m: int) -> TorusElement:
+        # fills the cache from x_j^(+-1) out to x_j^m, one power at a time
         if m == 0:
             return zero
-        key = (j, m)
-        got = power_cache.get(key)
+        got = power_cache.get((j, m))
         if got is not None:
             return got
-        xj = TorusElement.generator(ctx, n, j)
+        step = 1 if m > 0 else -1
         lam = FieldElement.from_unit(sig.lambdas[j])
-        if m == 1:
-            out = d.images[j]
-        elif m > 1:
-            rest = TorusElement.generator(ctx, n, j, m - 1)
-            out = elem_scale(lam, elem_mul(Q, xj, delta_power(j, m - 1))) + elem_mul(
-                Q, d.images[j], rest
-            )
-        elif m == -1:
-            xj_inv = TorusElement.generator(ctx, n, j, -1)
-            out = -elem_scale(
-                lam.inv(), elem_mul(Q, xj_inv, elem_mul(Q, d.images[j], xj_inv))
-            )
-        else:
-            xj_inv = TorusElement.generator(ctx, n, j, -1)
-            rest = TorusElement.generator(ctx, n, j, m + 1)
-            out = elem_scale(
-                lam.inv(), elem_mul(Q, xj_inv, delta_power(j, m + 1))
-            ) + elem_mul(Q, delta_power(j, -1), rest)
-        power_cache[key] = out
+        if step == -1:
+            lam = lam.inv()
+        x_step = TorusElement.generator(ctx, n, j, step)
+        first = power_cache.get((j, step))
+        if first is None:
+            first = d.images[j]
+            if step == -1:
+                first = -elem_scale(lam, elem_mul(Q, x_step, elem_mul(Q, first, x_step)))
+            power_cache[(j, step)] = first
+        # delta(x^k) = lam*x^step*delta(x^(k - step)) + delta(x^step)*x^(k - step)
+        out = first
+        for k in range(2 * step, m + step, step):
+            got = power_cache.get((j, k))
+            if got is None:
+                rest = TorusElement.generator(ctx, n, j, k - step)
+                got = elem_scale(lam, elem_mul(Q, x_step, out)) + elem_mul(Q, first, rest)
+                power_cache[(j, k)] = got
+            out = got
         return out
 
     def delta_monomial(e: ExponentVec) -> TorusElement:
@@ -316,12 +311,7 @@ class OuterConjugate:
     coeffs: tuple[FieldElement, ...]
 
 
-@dataclass(frozen=True)
-class ZeroDerivation:
-    pass
-
-
-Classification = Inner | LocallyInner | OuterConjugate | ZeroDerivation
+Classification = Inner | LocallyInner | OuterConjugate
 
 
 def _check_compat(
@@ -355,7 +345,7 @@ def classify_component(
     ctx, n = Q.ctx, Q.n
     d = comp.weight
     if all(c.is_zero() for c in comp.coeffs):
-        return ZeroDerivation()
+        raise Inconsistent(f"empty component at weight {d}")
     drops = _check_compat(comp, sig, Q)
     matches = [drops[j].is_zero() for j in range(n)]
 
@@ -400,145 +390,3 @@ def classify_component(
         return OuterConjugate(d, coeffs)
     b = comp.coeffs[j] / drops[j]
     return LocallyInner(j, TorusElement.monomial(ctx, n, d, b))
-
-
-def sigma_inner_witness(
-    sig: ToricAutomorphism, Q: CommutationMatrix
-) -> ExponentVec | None:
-    """Find d with q_j(d) = lambda_j for all j, so sigma is induced by x^-d.
-
-    The multiplicative system splits into an integer-linear layer on the
-    parameter exponents, one on the prime factorizations of the rational
-    coefficients, and a sign layer handled with slack variables.  Solved by
-    integer elimination; the returned vector is checked against ``qrs``.
-    """
-    n = Q.n
-    ctx = Q.ctx
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    primes: set[int] = set()
-
-    def factorize(c: Fraction) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for val, sign in ((c.numerator, 1), (c.denominator, -1)):
-            val = abs(val)
-            p = 2
-            while p * p <= val:
-                while val % p == 0:
-                    out[p] = out.get(p, 0) + sign
-                    val //= p
-                p += 1
-            if val > 1:
-                out[val] = out.get(val, 0) + sign
-        return out
-
-    coeff_fact: dict[tuple[int, int], dict[int, int]] = {}
-    lam_fact: list[dict[int, int]] = []
-    for j in range(n):
-        for k in range(n):
-            f = factorize(Q.entry(k, j).coeff)
-            coeff_fact[(k, j)] = f
-            primes |= set(f)
-        f = factorize(sig.lambdas[j].coeff)
-        lam_fact.append(f)
-        primes |= set(f)
-
-    sign_rows: list[tuple[list[int], int]] = []
-    for j in range(n):
-        for p in range(len(ctx)):
-            rows.append([Q.entry(k, j).exps[p] for k in range(n)])
-            rhs.append(sig.lambdas[j].exps[p])
-        for prime in sorted(primes):
-            rows.append([coeff_fact[(k, j)].get(prime, 0) for k in range(n)])
-            rhs.append(lam_fact[j].get(prime, 0))
-        sign_rows.append(
-            (
-                [1 if Q.entry(k, j).coeff < 0 else 0 for k in range(n)],
-                1 if sig.lambdas[j].coeff < 0 else 0,
-            )
-        )
-
-    # sign conditions hold mod 2: add one slack column per condition
-    n_slack = len(sign_rows)
-    full_rows = [row + [0] * n_slack for row in rows]
-    for idx, (srow, sbit) in enumerate(sign_rows):
-        slack = [0] * n_slack
-        slack[idx] = 2
-        full_rows.append(srow + slack)
-        rhs.append(sbit)
-
-    sol = solve_integer_system(full_rows, rhs, minimize_prefix=n)
-    if sol is None:
-        return None
-    d = tuple(sol[:n])
-    one = UnitMonomial.one(ctx)
-    for j in range(n):
-        if qrs(Q, d, j)[0] * sig.lambdas[j].inv() != one:
-            raise Inconsistent("lattice solver returned an invalid witness")
-    return d
-
-
-# -- Ore extension type of the full torus -------------------------------------
-
-
-@dataclass(frozen=True)
-class AutomorphismType:
-    """The extension rewrites as automorphism type with variable z - shift."""
-
-    shift: TorusElement
-
-
-@dataclass(frozen=True)
-class DerivationType:
-    """Rewrites as derivation type; multipliers are central, one per generator.
-
-    The new variable is x^-witness * (z - shift) and the derivation it
-    carries sends x_i to multipliers[i] * x_i.
-    """
-
-    witness: ExponentVec
-    shift: TorusElement
-    multipliers: tuple[TorusElement, ...]
-
-
-def classify_extension(
-    sig: ToricAutomorphism, d: SkewDerivation, Q: CommutationMatrix
-) -> AutomorphismType | DerivationType:
-    """Type of T[z; sigma, d] over the full torus (everything inverted)."""
-    if not d._validated:
-        raise NotValidated("validate_derivation must pass first")
-    ctx, n = Q.ctx, Q.n
-    torus = SelectiveSpace(Q, frozenset(range(n)))
-    witness = sigma_inner_witness(sig, Q)
-    comps = decompose_homogeneous(d)
-    shift = TorusElement.zero(ctx, n)
-    outer: list[HomogeneousComponent] = []
-    for comp in comps:
-        cls = classify_component(comp, sig, torus)
-        if isinstance(cls, Inner):
-            shift = shift + cls.inducer
-        elif isinstance(cls, OuterConjugate):
-            outer.append(comp)
-        # LocallyInner cannot occur: everything is inverted on the torus
-    if witness is None:
-        if outer:
-            raise Inconsistent(
-                "outer automorphism with a conjugate-to-derivation component at "
-                f"weight {outer[0].weight}"
-            )
-        return AutomorphismType(shift)
-
-    winv = monomial_inverse(Q, witness)
-    multipliers = []
-    for i in range(n):
-        zi = TorusElement.zero(ctx, n)
-        for comp in outer:
-            zi = zi + elem_mul(
-                Q,
-                elem_mul(Q, winv, comp.image(ctx, i)),
-                monomial_inverse(Q, indicator(n, (i,))),
-            )
-        if not is_central(torus, zi):
-            raise Inconsistent(f"derivation multiplier for generator {i} is not central")
-        multipliers.append(zi)
-    return DerivationType(witness, shift, tuple(multipliers))

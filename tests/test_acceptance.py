@@ -39,7 +39,6 @@ from skewtor import (
     monomial_mul,
     qrs,
     run_all,
-    sigma_inner_witness,
     validate_derivation,
 )
 from skewtor.orechain import AlgebraState, Derived, Original
@@ -56,7 +55,6 @@ from helpers import (
     random_element,
     random_inner_derivation,
     random_matrix,
-    sigma_made_inner,
 )
 
 P = "presentations"
@@ -373,57 +371,3 @@ def test_criterion_7_classification_round_trip():
                 for j in range(n):
                     assert back.images[j] == comp.image(RCTX, j)
                 cases += 1
-
-
-def _box_has_witness(Q, sig, bound=3):
-    n = Q.n
-    # power tables make the 7^n sweep affordable
-    tables = [
-        [
-            {k: Q.entry(kk, j).pow(k) for k in range(-bound, bound + 1)}
-            for kk in range(n)
-        ]
-        for j in range(n)
-    ]
-    for cand in product(range(-bound, bound + 1), repeat=n):
-        ok = True
-        for j in range(n):
-            val = UnitMonomial.one(Q.ctx)
-            for kk, dk in enumerate(cand):
-                if dk:
-                    val = val * tables[j][kk][dk]
-            if val != sig.lambdas[j]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def test_criterion_7_witness_vs_box_search():
-    rng = random.Random(131)
-    for _ in range(N_CASES):
-        n = rng.randint(1, 4)
-        Q = random_matrix(rng, n)
-        if rng.random() < 0.5:
-            sig = sigma_made_inner(rng, Q, tuple(rng.randint(-3, 3) for _ in range(n)))
-        else:
-            sig = random_auto(rng, n)
-        got = sigma_inner_witness(sig, Q)
-        if got is not None:
-            assert all(qrs(Q, got, j)[0] == sig.lambdas[j] for j in range(n))
-        if _box_has_witness(Q, sig):
-            assert got is not None
-        elif got is not None:
-            # witness found outside the box: legitimate, but must verify
-            assert any(abs(x) > 3 for x in got)
-
-
-def test_criterion_7_witness_vs_box_search_rank4():
-    rng = random.Random(137)
-    for _ in range(60):
-        Q = random_matrix(rng, 4)
-        sig = sigma_made_inner(rng, Q, tuple(rng.randint(-3, 3) for _ in range(4)))
-        got = sigma_inner_witness(sig, Q)
-        assert got is not None
-        assert all(qrs(Q, got, j)[0] == sig.lambdas[j] for j in range(4))

@@ -196,6 +196,77 @@ def test_classify_block(capsys):
     assert "K*E^-1" in lines[1]
 
 
+def _block(tmp_path, **fields):
+    doc = {
+        "parameters": ["q"],
+        "generators": ["x", "y"],
+        "matrix": [["1", "q"], ["q^-1", "1"]],
+        **fields,
+    }
+    f = tmp_path / "block.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    return str(f)
+
+
+def test_classify_outer_and_inner_components(tmp_path, capsys):
+    f = _block(tmp_path, **{"lambda": ["1", "1"], "derivation": {"x": "x", "y": "x*y - y*x"}})
+    code, out, _ = run_cli(["classify", f], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "weight (0, 0): conjugate to a derivation",
+        "weight (1, 0): inner, induced by x",
+    ]
+    code, out, _ = run_cli(["classify", f, "--format", "json"], capsys)
+    assert code == 0
+    kinds = [(c["weight"], c["kind"]) for c in json.loads(out)["components"]]
+    assert kinds == [([0, 0], "outer_conjugate"), ([1, 0], "inner")]
+
+
+def test_boolean_inverted_index_is_rejected(tmp_path, capsys):
+    # JSON true is the int 1 to Python; it must not invert the first generator
+    code, out, err = run_cli(["eval", _block(tmp_path, inverted=[True]), "--expr", "x^-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "bad inverted index" in err
+
+
+def test_deep_powers_in_the_leibniz_extension(tmp_path, capsys):
+    # one delta(x^k) per power, filled without recursion
+    f = tmp_path / "deep.json"
+    f.write_text(
+        json.dumps(
+            {
+                "parameters": ["q"],
+                "stages": [
+                    {"name": "x"},
+                    {"name": "y", "sigma": ["q"], "delta": ["x^1000"]},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(["run", str(f)], capsys)
+    assert code == 0
+    assert "  t = (-1/(q - 1))*x^999" in out.splitlines()
+    block = _block(tmp_path, inverted=["x"], **{"lambda": ["q", "1"], "derivation": {"x": "x"}})
+    code, out, _ = run_cli(["eval", block, "--expr", "x^-1000", "--apply", "delta"], capsys)
+    assert code == 0
+    # delta(x^-m) = -(q^-1 + ... + q^-m) x^-m when delta(x) = x, sigma(x) = q x
+    terms = " - ".join(f"q^-{k}" for k in range(1, 1001))
+    assert out.strip() == f"(-{terms})*x^-1000"
+
+
+def test_unexpected_exception_exits_2(monkeypatch, capsys):
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("skewtor.cli.run_all", boom)
+    code, out, err = run_cli(["run", f"{P}/qmat3.json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "internal error: ValueError: boom\n"
+
+
 def test_eval_normalizes(capsys):
     code, out, _ = run_cli(
         ["eval", f"{P}/classify_uqsl2.json", "--expr", "E*K"], capsys

@@ -1,14 +1,11 @@
 """Automorphisms, derivations, homogeneous decomposition, classification."""
 
 import random
-from itertools import product
 
 import pytest
 
 from skewtor import (
-    AutomorphismType,
     CommutationMatrix,
-    DerivationType,
     FieldElement,
     Inconsistent,
     Inner,
@@ -23,7 +20,6 @@ from skewtor import (
     UnitMonomial,
     apply_auto,
     classify_component,
-    classify_extension,
     decompose_homogeneous,
     elem_mul,
     elem_scale,
@@ -32,7 +28,6 @@ from skewtor import (
     is_central,
     is_q_skew,
     qrs,
-    sigma_inner_witness,
     validate_derivation,
     zero_derivation,
 )
@@ -410,94 +405,11 @@ def test_classify_rejects_forbidden_case():
         classify_component(comp, sig, space)
 
 
-# -- sigma_inner_witness -------------------------------------------------------
+def test_classify_rejects_an_empty_component():
+    from skewtor import HomogeneousComponent
 
-
-def test_witness_quantum_plane():
-    i, j = 3, 2
-    sig = ToricAutomorphism(CTX, (U("q").pow(-j), U("q").pow(i)))
-    d = sigma_inner_witness(sig, QPLANE)
-    assert d == (i, j)
-
-
-def test_witness_identity_is_zero():
-    sig = ToricAutomorphism.identity(CTX, 3)
-    Q = random_matrix(random.Random(53), 3)
-    assert sigma_inner_witness(sig, Q) == (0, 0, 0)
-
-
-def test_witness_case_a_none():
-    Q3 = CommutationMatrix.from_upper(
-        CTX, 3, {(0, 1): U("q"), (0, 2): U("p"), (1, 2): U("r")}
-    )
-    sig = ToricAutomorphism(CTX, (U("l1"), U("r^-1*q^-1"), U("r*p^-1")))
-    assert sigma_inner_witness(sig, Q3) is None
-    # brute-force box search agrees
-    one = UnitMonomial.one(CTX)
-    for cand in product(range(-3, 4), repeat=3):
-        assert any(
-            qrs(Q3, cand, j)[0] * sig.lambdas[j].inv() != one for j in range(3)
-        )
-
-
-def test_witness_agrees_with_box_search():
-    rng = random.Random(59)
-    one = UnitMonomial.one(CTX)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        Q = random_matrix(rng, n)
-        if rng.random() < 0.5:
-            sig = sigma_made_inner(rng, Q, tuple(rng.randint(-2, 2) for _ in range(n)))
-        else:
-            sig = random_auto(rng, n)
-        got = sigma_inner_witness(sig, Q)
-        box = None
-        for cand in product(range(-3, 4), repeat=n):
-            if all(qrs(Q, cand, j)[0] == sig.lambdas[j] for j in range(n)):
-                box = cand
-                break
-        if box is not None:
-            assert got is not None
-        if got is not None:
-            assert all(qrs(Q, got, j)[0] == sig.lambdas[j] for j in range(n))
-
-
-def test_witness_rational_coefficients_layer():
-    # entries with nontrivial rational parts exercise the prime/sign layers
-    Q = CommutationMatrix.from_upper(CTX, 2, {(0, 1): U("-2*q")})
-    sig = ToricAutomorphism(CTX, (U("-1/2*q^-1"), U("-2*q")))
-    d = sigma_inner_witness(sig, Q)
-    assert d is not None
-    assert qrs(Q, d, 0)[0] == sig.lambdas[0]
-    assert qrs(Q, d, 1)[0] == sig.lambdas[1]
-
-
-# -- extension type over the full torus ---------------------------------------
-
-
-def test_classify_extension_zero_derivation():
-    sig = ToricAutomorphism(CTX, (U("l1"), U("p")))
-    der = zero_derivation(QPLANE, sig)
-    out = classify_extension(sig, der, QPLANE)
-    assert isinstance(out, AutomorphismType)
-    assert out.shift.is_zero()
-
-
-def test_classify_extension_derivation_type():
+    space = SelectiveSpace(QPLANE, frozenset())
     sig = ToricAutomorphism.identity(CTX, 2)
-    der = SkewDerivation(QPLANE, sig, (E("x"), E("y")))
-    assert validate_derivation(der) is None
-    out = classify_extension(sig, der, QPLANE)
-    assert isinstance(out, DerivationType)
-    assert out.witness == (0, 0)
-    one = TorusElement.one(CTX, 2)
-    assert out.multipliers == (one, one)
-
-
-def test_classify_extension_automorphism_type():
-    sig = ToricAutomorphism(CTX, (U("l1"), U("p")))
-    a = E("x^2*y")
-    der = inner_derivation(QPLANE, sig, a)
-    out = classify_extension(sig, der, QPLANE)
-    assert isinstance(out, AutomorphismType)
-    assert out.shift == a
+    comp = HomogeneousComponent((0, 0), (FieldElement.zero(CTX),) * 2)
+    with pytest.raises(Inconsistent, match="empty component"):
+        classify_component(comp, sig, space)

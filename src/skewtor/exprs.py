@@ -21,8 +21,11 @@ from typing import Callable, Iterable
 
 from .errors import ExprSyntaxError
 
+# ``bad`` catches any other non-blank character, so consecutive matches cover
+# the text up to trailing whitespace and a token's position is where the
+# whitespace before it starts
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
@@ -72,20 +75,11 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ExprSyntaxError("unexpected character", text, pos)
-                break
-            if m.group("int"):
-                self.tokens.append(("int", m.group("int"), m.start()))
-            elif m.group("name"):
-                self.tokens.append(("name", m.group("name"), m.start()))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start()))
-            pos = m.end()
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ExprSyntaxError("unexpected character", text, m.start())
+            self.tokens.append((kind, m[kind], m.start()))
         self.tokens.append(("eof", "", len(text)))
         self.i = 0
 
@@ -237,10 +231,6 @@ def render_ast(node: Expr) -> str:
 # -- printing ---------------------------------------------------------------
 
 
-def _fraction_str(c: Fraction) -> str:
-    return str(c)
-
-
 def format_monomial(
     coeff: Fraction, exps: Iterable[int], names: Iterable[str]
 ) -> tuple[int, str]:
@@ -253,9 +243,9 @@ def format_monomial(
         if e != 0
     ]
     if not parts:
-        return sign, _fraction_str(mag)
+        return sign, str(mag)
     if mag != 1:
-        parts.insert(0, _fraction_str(mag))
+        parts.insert(0, str(mag))
     return sign, "*".join(parts)
 
 

@@ -5,10 +5,10 @@ staged algorithm) or a standalone block describing a single selectively
 localized space with a toric map and generator images (for ``classify`` and
 ``eval``).
 
-Stage k must supply exactly k-1 ``sigma`` entries (unit-monomial scalars,
-the action on each earlier original generator) and at most k-1 ``delta``
-entries (element expressions in the original generator names; missing or
-null entries default to zero).
+Stage k must supply exactly k-1 ``sigma`` entries (unit-monomial scalars
+given as strings or integers, the action on each earlier original generator)
+and at most k-1 ``delta`` entries (element expressions in the original
+generator names; missing or null entries default to zero).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArityMismatch, InputError, UnknownIdentifier
+from .errors import ArityMismatch, ExprSyntaxError, InputError, UnknownIdentifier
 from .exprs import Expr, evaluate, names_in, parse_ast
 from .scalars import FieldElement, ParameterContext, UnitMonomial
 from .skewder import SkewDerivation, ToricAutomorphism
@@ -75,6 +75,34 @@ def parse_unit(text: str, ctx: ParameterContext) -> UnitMonomial:
     return u
 
 
+class _UnitReader:
+    """The unit-monomial entries of one file, each distinct text parsed once.
+
+    Entries with the same text share one ``UnitMonomial``, which is immutable.
+    An entry is a string or a JSON integer; a bad entry raises at its first
+    occurrence, with ``where`` naming it.
+    """
+
+    def __init__(self, ctx: ParameterContext):
+        self.ctx = ctx
+        self.units: dict[str, UnitMonomial] = {}
+
+    def __call__(self, entry: object, where: str) -> UnitMonomial:
+        # JSON true arrives as a bool, which isinstance would take for the int 1
+        if type(entry) is int:
+            entry = str(entry)
+        elif not isinstance(entry, str):
+            raise InputError(f"{where} must be a string")
+        unit = self.units.get(entry)
+        if unit is None:
+            try:
+                unit = self.units[entry] = parse_unit(entry, self.ctx)
+            except InputError as exc:
+                exc.args = (f"{where}: {exc}",)
+                raise
+        return unit
+
+
 def parse_element(
     text: str,
     ctx: ParameterContext,
@@ -114,7 +142,9 @@ def _require(cond: bool, msg: str) -> None:
         raise InputError(msg)
 
 
-def _parse_stage(raw: dict, k: int, ctx: ParameterContext, earlier: list[str]) -> StageSpec:
+def _parse_stage(
+    raw: dict, k: int, ctx: ParameterContext, read: _UnitReader, earlier: list[str]
+) -> StageSpec:
     where = f"stages[{k - 1}]"
     _require(isinstance(raw, dict), f"{where}: expected an object")
     name = raw.get("name")
@@ -128,7 +158,7 @@ def _parse_stage(raw: dict, k: int, ctx: ParameterContext, earlier: list[str]) -
         raise ArityMismatch(
             f"{where}: stage {k} needs exactly {k - 1} sigma entries, got {len(sigma_raw)}"
         )
-    sigma = tuple(parse_unit(str(s), ctx) for s in sigma_raw)
+    sigma = tuple(read(s, f"{where}: sigma[{i}]") for i, s in enumerate(sigma_raw))
     delta_raw = raw.get("delta", [])
     _require(isinstance(delta_raw, list), f"{where}: delta must be a list")
     if len(delta_raw) > k - 1:
@@ -141,7 +171,11 @@ def _parse_stage(raw: dict, k: int, ctx: ParameterContext, earlier: list[str]) -
             deltas.append(None)
             continue
         _require(isinstance(entry, str), f"{where}: delta[{idx}] must be a string")
-        tree = parse_ast(entry)
+        try:
+            tree = parse_ast(entry)
+        except ExprSyntaxError as exc:
+            exc.args = (f"{where}: delta[{idx}]: {exc}",)
+            raise
         unknown = names_in(tree) - set(earlier) - set(ctx.names)
         if unknown:
             raise UnknownIdentifier(
@@ -153,7 +187,7 @@ def _parse_stage(raw: dict, k: int, ctx: ParameterContext, earlier: list[str]) -
     return StageSpec(name, sigma, tuple(deltas), rename)
 
 
-def _parse_block(raw: dict, ctx: ParameterContext) -> StandaloneBlock:
+def _parse_block(raw: dict, ctx: ParameterContext, read: _UnitReader) -> StandaloneBlock:
     names = raw.get("generators")
     _require(
         isinstance(names, list) and all(isinstance(s, str) for s in names),
@@ -165,9 +199,9 @@ def _parse_block(raw: dict, ctx: ParameterContext) -> StandaloneBlock:
     matrix = raw.get("matrix")
     _require(isinstance(matrix, list) and len(matrix) == len(names), "matrix size mismatch")
     rows = []
-    for row in matrix:
+    for r, row in enumerate(matrix):
         _require(isinstance(row, list) and len(row) == len(names), "matrix row size mismatch")
-        rows.append([parse_unit(str(v), ctx) for v in row])
+        rows.append([read(v, f"matrix[{r}][{c}]") for c, v in enumerate(row)])
     Q = CommutationMatrix(ctx, rows)
     inverted_raw = raw.get("inverted", [])
     _require(isinstance(inverted_raw, list), "inverted must be a list")
@@ -187,7 +221,8 @@ def _parse_block(raw: dict, ctx: ParameterContext) -> StandaloneBlock:
     if "lambda" in raw:
         lam = raw["lambda"]
         _require(isinstance(lam, list) and len(lam) == len(names), "lambda size mismatch")
-        sigma = ToricAutomorphism(ctx, tuple(parse_unit(str(v), ctx) for v in lam))
+        lambdas = tuple(read(v, f"lambda[{i}]") for i, v in enumerate(lam))
+        sigma = ToricAutomorphism(ctx, lambdas)
 
     images = None
     if "derivation" in raw:
@@ -217,6 +252,7 @@ def parse_presentation(text: str) -> PresentationFile:
     )
     _require(len(set(params)) == len(params), "parameter names must be distinct")
     ctx = ParameterContext(params)
+    read = _UnitReader(ctx)
 
     stages = None
     if "stages" in raw:
@@ -228,7 +264,7 @@ def parse_presentation(text: str) -> PresentationFile:
         earlier: list[str] = []
         seen: set[str] = set(ctx.names)
         for k, entry in enumerate(raw_stages, start=1):
-            spec = _parse_stage(entry, k, ctx, earlier)
+            spec = _parse_stage(entry, k, ctx, read, earlier)
             for label in filter(None, (spec.name, spec.rename)):
                 if label in seen:
                     raise InputError(f"duplicate name {label!r}")
@@ -239,7 +275,7 @@ def parse_presentation(text: str) -> PresentationFile:
 
     block = None
     if "matrix" in raw or "generators" in raw:
-        block = _parse_block(raw, ctx)
+        block = _parse_block(raw, ctx, read)
 
     if stages is None and block is None:
         raise InputError("the file declares neither stages nor a standalone block")

@@ -1,9 +1,11 @@
 """Random instance generators shared by the derivation test suites."""
 
 import random
+import re
 
 from skewtor import (
     CommutationMatrix,
+    ExprSyntaxError,
     FieldElement,
     ParameterContext,
     SkewDerivation,
@@ -81,3 +83,33 @@ def outer_derivation(
     der = SkewDerivation(Q, sig, images)
     assert validate_derivation(der) is None
     return der
+
+
+_ORACLE_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+)
+
+
+def tokenize_oracle(text: str) -> list[tuple[str, str, int]]:
+    """The expression tokens of ``text``, one anchored match at a time.
+
+    This is the tokenizer the parser used before it scanned the text in one
+    pass; tests compare the two on random strings.
+    """
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ExprSyntaxError("unexpected character", text, pos)
+            break
+        if m.group("int"):
+            tokens.append(("int", m.group("int"), m.start()))
+        elif m.group("name"):
+            tokens.append(("name", m.group("name"), m.start()))
+        else:
+            tokens.append(("op", m.group("op"), m.start()))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens

@@ -21,6 +21,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def bench_families():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import families
+    finally:
+        sys.path.remove(str(BENCH))
+    return families
+
+
 def test_run_case_a(capsys):
     code, out, _ = run_cli(["run", f"{P}/qmat2x2_caseA.json"], capsys)
     assert code == 0
@@ -68,13 +77,8 @@ def test_golden_report_matches(capsys):
 def test_qmat4_report_matches_the_benchmark_reference(tmp_path, capsys):
     # O_q(M_4) from the benchmark's generator, against its recorded report:
     # a change to the scalar layer must leave every byte of it as it is
-    sys.path.insert(0, str(BENCH))
-    try:
-        import families
-    finally:
-        sys.path.remove(str(BENCH))
     f = tmp_path / "qmat4.json"
-    f.write_text(json.dumps(families.qmat(4)), encoding="utf-8")
+    f.write_text(json.dumps(bench_families().qmat(4)), encoding="utf-8")
     code, out, _ = run_cli(["run", str(f), "--format", "json", "--trace"], capsys)
     assert code == 0
     assert out == (BENCH / "references" / "qmat4_report.json").read_text(encoding="utf-8")
@@ -131,6 +135,92 @@ def test_malformed_sigma_token(tmp_path, capsys):
     code, _, err = run_cli(["run", str(f)], capsys)
     assert code == 1
     assert "position" in err
+
+
+STAGES = [{"name": "x"}, {"name": "y", "sigma": ["q"]}]
+BLOCK = {"generators": ["a", "b"], "matrix": [["1", "q"], ["q^-1", "1"]], "lambda": ["1", "q"]}
+
+
+def _with_stage(stage):
+    return {"parameters": ["q"], "stages": [*STAGES, stage]}
+
+
+def _with_block(**entries):
+    return {"parameters": ["q"], **BLOCK, **entries}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"parameters": ["q"], "stages": [{"name": "x"}, {"name": "y", "sigma": ["q+1"]}]},
+            "stages[1]: sigma[0]: 'q+1' is not an invertible monomial scalar",
+        ),
+        (
+            _with_stage({"name": "z", "sigma": ["q", "1"], "delta": ["x $ 2"]}),
+            "stages[2]: delta[0]: unexpected character (at position 1: 'x' ^ ' $ 2')",
+        ),
+        (
+            # the same bad text twice: the first occurrence is named
+            {
+                "parameters": ["q"],
+                "stages": [
+                    *STAGES,
+                    {"name": "z", "sigma": ["q", "r"]},
+                    {"name": "w", "sigma": ["r", "q", "1"]},
+                ],
+            },
+            "stages[2]: sigma[1]: unknown parameter(s) ['r'] in 'r'",
+        ),
+        (
+            _with_block(matrix=[["1", "q"], ["q^-1", "q $"]]),
+            "matrix[1][1]: unexpected character (at position 1: 'q' ^ ' $')",
+        ),
+        (
+            _with_block(matrix=[["1", "q + 1"], ["q^-1", "q + 1"]]),
+            "matrix[0][1]: 'q + 1' is not an invertible monomial scalar",
+        ),
+        (
+            _with_block(**{"lambda": ["1", "1/0"]}),
+            "lambda[1]: division by zero scalar",
+        ),
+    ],
+    ids=["sigma", "delta", "repeated", "matrix-syntax", "matrix-unit", "lambda"],
+)
+def test_scalar_entry_errors_name_the_entry(tmp_path, capsys, doc, message):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["check", str(f)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", [None, True, 0.5], ids=["null", "true", "0.5"])
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (lambda v: _with_stage({"name": "z", "sigma": ["q", v]}), "stages[2]: sigma[1]"),
+        (lambda v: _with_block(matrix=[["1", v], ["q^-1", "1"]]), "matrix[0][1]"),
+        (lambda v: _with_block(**{"lambda": [v, "q"]}), "lambda[0]"),
+    ],
+    ids=["sigma", "matrix", "lambda"],
+)
+def test_non_string_scalar_entries_are_rejected(tmp_path, capsys, doc, where, value):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc(value)), encoding="utf-8")
+    code, out, err = run_cli(["check", str(f)], capsys)
+    assert (code, out, err) == (1, "", f"error: {where} must be a string\n")
+
+
+def test_integer_scalar_entries_are_accepted():
+    def parse(three, one, minus_two):
+        doc = _with_block(matrix=[[one, "q"], ["q^-1", one]], **{"lambda": [minus_two, "q"]})
+        doc["stages"] = [*STAGES, {"name": "z", "sigma": [three, one]}]
+        return parse_presentation(json.dumps(doc))
+
+    as_ints, as_text = parse(3, 1, -2), parse("3", "1", "-2")
+    assert as_ints.stages == as_text.stages
+    assert as_ints.block.space.Q.entries == as_text.block.space.Q.entries
+    assert as_ints.block.sigma.lambdas == as_text.block.sigma.lambdas
 
 
 def test_check_valid_and_invalid(tmp_path, capsys):
@@ -366,3 +456,31 @@ def test_presentation_render_round_trip():
         from skewtor.presentation import render_presentation as rp
 
         assert rp(again) == text
+
+
+def test_each_distinct_scalar_entry_is_parsed_once(tmp_path, monkeypatch):
+    import skewtor.presentation as presentation
+
+    parse_unit = presentation.parse_unit
+    calls = []
+
+    def counting(text, ctx):
+        calls.append(text)
+        return parse_unit(text, ctx)
+
+    monkeypatch.setattr(presentation, "parse_unit", counting)
+    affine = tmp_path / "affine.json"
+    affine.write_text(json.dumps(bench_families().affine(0, 50).presentation), encoding="utf-8")
+    counts = []
+    for path in (Path(P, "qmat3.json"), affine, Path(P, "classify_uqsl2.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        calls.clear()
+        pres = presentation.load_presentation(str(path))
+        texts = [s for stage in doc.get("stages", []) for s in stage.get("sigma", [])]
+        texts += [s for row in doc.get("matrix", []) for s in row] + doc.get("lambda", [])
+        assert len(calls) == len(set(texts))
+        counts.append((len(calls), len(texts)))
+        for raw, spec in zip(doc.get("stages", []), pres.stages or ()):
+            assert spec.sigma_eigs == tuple(parse_unit(s, pres.ctx) for s in raw.get("sigma", []))
+    assert counts[0] == (2, 36) and counts[2] == (3, 6)
+    assert counts[1][0] < counts[1][1] == 1225

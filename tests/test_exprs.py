@@ -1,7 +1,10 @@
 """Grammar: parsing, printing, and the round-trip fixed point."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import tokenize_oracle
 from skewtor import (
     CommutationMatrix,
     ExprSyntaxError,
@@ -9,6 +12,7 @@ from skewtor import (
     TorusElement,
     UnknownIdentifier,
 )
+from skewtor.exprs import _Parser
 from skewtor.presentation import parse_element, parse_scalar, parse_unit
 from skewtor.render import render_element, render_scalar, render_unit
 
@@ -135,3 +139,28 @@ def test_render_ast_fixed_point():
         printed = render_ast(tree)
         assert parse_ast(printed) == tree, text
         assert render_ast(parse_ast(printed)) == printed, text
+
+
+_PIECES = ["x", "x1", "q", "_a", "Ab9", "0", "7", "42", "+", "-", "*", "/", "^", "(", ")"]
+_PIECES += [" ", "  ", "\t", "\n", "\u00a0", "\u2003", "$", ".", "\u00e9", "\u0663", ","]
+
+
+def _tokens_or_message(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join) | st.text(max_size=12))
+def test_one_scan_tokenizer_matches_the_per_match_oracle(text):
+    expected = _tokens_or_message(tokenize_oracle, text)
+    assert _tokens_or_message(lambda t: _Parser(t).tokens, text) == expected
+
+
+def test_unexpected_character_is_located_before_its_whitespace():
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_scalar("x $ 2", CTX)
+    assert str(exc.value) == "unexpected character (at position 1: 'x' ^ ' $ 2')"
+    assert parse_scalar("q \t\n", CTX) == parse_scalar("q", CTX)

@@ -41,7 +41,6 @@ from .torus import (
     elem_pow,
     elem_scale,
     is_central,
-    is_exceptional,
     membership,
     monomial_inverse,
     monomial_mul,
@@ -49,19 +48,13 @@ from .torus import (
 )
 from .skewder import (
     HomogeneousComponent,
-    Inner,
-    LocallyInner,
-    OuterConjugate,
     SkewDerivation,
     ToricAutomorphism,
     apply_auto,
     classify_component,
     decompose_homogeneous,
     extend_derivation,
-    inner_derivation,
-    is_q_skew,
     validate_derivation,
-    zero_derivation,
 )
 from .ore import OreElement
 from .orechain import (

@@ -16,14 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import InputError, InternalError, SkewtorError
+from .errors import InputError, InternalError, NotADerivation, SkewtorError
 from .orechain import TorusEmbedding, WeylWitness, run_all
 from .presentation import StandaloneBlock, load_presentation, parse_element
 from .render import render_element, render_exponents
-from .report import build_report, to_json, to_text
+from .report import build_report, component_dict, describe_component, to_json, to_text
 from .skewder import (
-    Inner,
-    LocallyInner,
     SkewDerivation,
     apply_auto,
     classify_component,
@@ -68,12 +66,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _validated_derivation(block: StandaloneBlock) -> SkewDerivation:
     der = block.derivation()
-    violation = validate_derivation(der)
-    if violation is not None:
-        raise InputError(
+    try:
+        validate_derivation(der)
+    except NotADerivation as exc:
+        i, j = exc.pair
+        exc.args = (
             "derivation images violate the relation between "
-            f"{block.names[violation.i]!r} and {block.names[violation.j]!r}"
+            f"{block.names[i]!r} and {block.names[j]!r}",
         )
+        raise
     return der
 
 
@@ -93,20 +94,10 @@ def _cmd_classify(args) -> int:
     if pres.block is None or pres.block.images is None:
         raise InputError("this file has no standalone derivation block")
     block = pres.block
-    entries = []
-    for comp in decompose_homogeneous(_validated_derivation(block)):
-        cls = classify_component(comp, block.sigma, block.space)
-        entry = {"weight": list(comp.weight)}
-        if isinstance(cls, Inner):
-            entry["kind"] = "inner"
-            entry["inducer"] = render_element(cls.inducer, block.names)
-        elif isinstance(cls, LocallyInner):
-            entry["kind"] = "locally_inner"
-            entry["localized_at"] = block.names[cls.j]
-            entry["inducer"] = render_element(cls.inducer, block.names)
-        else:
-            entry["kind"] = "outer_conjugate"
-        entries.append(entry)
+    entries = [
+        component_dict(classify_component(comp, block.sigma, block.space), block.names)
+        for comp in decompose_homogeneous(_validated_derivation(block))
+    ]
     report = {"outcome": "classification", "components": entries}
     if args.format == "json":
         sys.stdout.write(to_json(report))
@@ -115,15 +106,7 @@ def _cmd_classify(args) -> int:
             sys.stdout.write("zero derivation\n")
         for e in entries:
             w = render_exponents(tuple(e["weight"]))
-            if e["kind"] == "inner":
-                sys.stdout.write(f"weight {w}: inner, induced by {e['inducer']}\n")
-            elif e["kind"] == "locally_inner":
-                sys.stdout.write(
-                    f"weight {w}: locally inner at {e['localized_at']}, "
-                    f"induced by {e['inducer']}\n"
-                )
-            else:
-                sys.stdout.write(f"weight {w}: conjugate to a derivation\n")
+            sys.stdout.write(f"weight {w}: {describe_component(e)}\n")
     return EXIT_OK
 
 

@@ -46,10 +46,16 @@ class LimitExceeded(InputError):
 
 
 class NotADerivation(InputError):
-    """Generator images are incompatible with the commutation relations."""
+    """Generator images are incompatible with the commutation relations;
+    ``pair`` is the first failing pair of generator indices, and ``lhs`` and
+    ``rhs`` are the two torus elements its relation sets equal."""
 
-    def __init__(self, message: str, pair: tuple[int, int] | None = None):
+    def __init__(
+        self, message: str, pair: tuple[int, int] | None = None, lhs=None, rhs=None
+    ):
         self.pair = pair
+        self.lhs = lhs
+        self.rhs = rhs
         super().__init__(message)
 
 

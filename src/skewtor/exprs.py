@@ -30,29 +30,30 @@ _TOKEN = re.compile(
 
 
 @dataclass(frozen=True)
-class Rat:
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class Pow:
+    """A generator or parameter name raised to the integer power k."""
+
     name: str
     k: int
 
 
 @dataclass(frozen=True)
 class Term:
-    # factors combined left to right; each entry is (node, invert_flag)
+    """A product of factors combined left to right; each entry is
+    (node, invert_flag), and an inverted factor divides."""
+
     factors: tuple[tuple[object, bool], ...]
 
 
 @dataclass(frozen=True)
 class Sum:
-    # (sign, term) pairs, sign in {+1, -1}
+    """A signed sum: (sign, term) pairs, sign in {+1, -1}."""
+
     terms: tuple[tuple[int, object], ...]
 
 
-Expr = Rat | Pow | Term | Sum
+# an integer literal is a bare Fraction leaf
+Expr = Fraction | Pow | Term | Sum
 
 
 def names_in(node: Expr) -> set[str]:
@@ -96,6 +97,12 @@ class _Parser:
         if kind != "op" or val != op:
             raise ExprSyntaxError(f"expected {op!r}", self.text, pos)
 
+    def integer(self, digits: str, pos: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than the interpreter converts
+            raise ExprSyntaxError("integer literal too long", self.text, pos) from None
+
     def parse(self) -> Expr:
         node = self.expr()
         kind, _, pos = self.peek()
@@ -138,7 +145,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "int":
-            return Rat(Fraction(int(val)))
+            return Fraction(self.integer(val, pos))
         if kind == "name":
             k = 1
             kind2, val2, _ = self.peek()
@@ -151,7 +158,9 @@ class _Parser:
                     kind3, val3, pos3 = self.next()
                 if kind3 != "int":
                     raise ExprSyntaxError("expected integer exponent", self.text, pos3)
-                k = -int(val3) if neg else int(val3)
+                k = self.integer(val3, pos3)
+                if neg:
+                    k = -k
             return Pow(val, k)
         if kind == "op" and val == "(":
             node = self.expr()
@@ -172,8 +181,8 @@ def evaluate(
     divide: Callable[[object, object], object],
 ):
     """Fold an AST in any domain with + and unary - operators and mul/div hooks."""
-    if isinstance(node, Rat):
-        return constant(node.value)
+    if isinstance(node, Fraction):
+        return constant(node)
     if isinstance(node, Pow):
         return atom(node.name, node.k)
     if isinstance(node, Term):
@@ -199,15 +208,15 @@ def evaluate(
 def render_ast(node: Expr) -> str:
     """Expression tree back to source text; parse(render_ast(t)) == t holds
     structurally for trees produced by parse_ast."""
-    if isinstance(node, Rat):
-        return str(node.value)
+    if isinstance(node, Fraction):
+        return str(node)
     if isinstance(node, Pow):
         return node.name if node.k == 1 else f"{node.name}^{node.k}"
     if isinstance(node, Term):
         parts = []
         for i, (f, inv) in enumerate(node.factors):
             body = render_ast(f)
-            if isinstance(f, Sum) or (isinstance(f, Rat) and "/" in body and i > 0):
+            if isinstance(f, Sum) or (isinstance(f, Fraction) and "/" in body and i > 0):
                 body = f"({body})"
             if i == 0:
                 parts.append(f"1/{body}" if inv else body)

@@ -33,10 +33,8 @@ from .exprs import Expr, evaluate
 from .ore import OreElement
 from .scalars import FieldElement, ParameterContext, UnitMonomial, um_prod
 from .skewder import (
+    ComponentReport,
     HomogeneousComponent,
-    Inner,
-    LocallyInner,
-    OuterConjugate,
     SkewDerivation,
     ToricAutomorphism,
     apply_auto,
@@ -78,11 +76,15 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class Original:
+    """A canonical generator that is the k-th original generator itself."""
+
     k: int  # index of the original generator this one equals
 
 
 @dataclass(frozen=True)
 class Derived:
+    """A canonical generator made by deleting the derivation of one stage."""
+
     J: tuple[int, ...]  # canonical generators localized at this stage
     stage: int  # index of the original generator being adjoined
     t: TorusElement  # the subtracted part: new generator = y * x_stage - t
@@ -126,15 +128,12 @@ def empty_state(ctx: ParameterContext) -> AlgebraState:
 
 
 @dataclass(frozen=True)
-class ComponentReport:
-    weight: ExponentVec
-    kind: str  # "inner" | "locally_inner" | "outer_conjugate"
-    j: int | None
-    inducer: TorusElement | None
-
-
-@dataclass(frozen=True)
 class StageReport:
+    """What one stage did, as the report prints it: the stage map on the
+    canonical generators, the verdict on each component and, when the
+    derivation was deleted, the localized set J, the subtracted part t, the
+    appended commutation row and the certified normality table."""
+
     stage: int  # 1-based stage number
     name: str
     canonical_name: str
@@ -148,12 +147,17 @@ class StageReport:
 
 @dataclass(frozen=True)
 class TorusEmbedding:
+    """Outcome of a run in which every stage's derivation was deleted."""
+
     state: AlgebraState
     trace: tuple[StageReport, ...]
 
 
 @dataclass(frozen=True)
 class WeylWitness:
+    """Outcome of a run stopped at a stage with a component conjugate to a
+    derivation: the certified pair with u p - p u = 1."""
+
     stage: int
     weight: ExponentVec
     u: OreElement  # (a_i x^(weight + e_i))^-1 (z - shift), of degree 1 in z
@@ -265,13 +269,15 @@ def translate_derivation(
         images.append(im)
 
     der = SkewDerivation(Q, sigma, images)
-    violation = validate_derivation(der)
-    if violation is not None:
-        raise NotADerivation(
+    try:
+        validate_derivation(der)
+    except NotADerivation as exc:
+        i, j = exc.pair
+        exc.args = (
             "generator images violate the relation between "
-            f"{state.names[violation.i]!r} and {state.names[violation.j]!r}",
-            pair=(violation.i, violation.j),
+            f"{state.names[i]!r} and {state.names[j]!r}",
         )
+        raise
     return der, sigma
 
 
@@ -333,48 +339,39 @@ def verify_normal(
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class Extension:
-    """Result of deleting the derivation from one Ore extension step."""
-
-    space: SelectiveSpace
-    J: tuple[int, ...]
-    t: TorusElement
-    new_row: tuple[UnitMonomial, ...]
-    components: tuple[ComponentReport, ...]
-    normal_table: tuple[tuple[str, UnitMonomial | None], ...]
-
-
 def extend_by_ore(
-    state: AlgebraState, delta: SkewDerivation
-) -> Extension | tuple[ExponentVec, tuple[ComponentReport, ...]]:
+    state: AlgebraState,
+    delta: SkewDerivation,
+    stage_no: int,
+    name: str,
+    canonical_name: str,
+) -> (
+    tuple[SelectiveSpace, StageReport]
+    | tuple[ExponentVec, tuple[ComponentReport, ...]]
+):
     """Classify the stage derivation and build the extended space.
 
-    Returns an Extension on success, or the offending weight when some
-    component is conjugate to a derivation (the Weyl-algebra case).
+    Returns the extended space with the report of stage ``stage_no``, which
+    adjoins ``name`` as ``canonical_name``; or the offending weight with the
+    component reports when some component is conjugate to a derivation (the
+    Weyl-algebra case).
     """
     ctx, n, Q = state.ctx, state.n, state.Q
     sigma = delta.sigma
     space = state.space
-    comps = decompose_homogeneous(delta)
-    reports: list[ComponentReport] = []
+    reports = tuple(
+        classify_component(comp, sigma, space) for comp in decompose_homogeneous(delta)
+    )
+    outer = [r.weight for r in reports if r.kind == "outer_conjugate"]
+    if outer:
+        return outer[0], reports
     inner_part = TorusElement.zero(ctx, n)
     locals_: list[tuple[int, TorusElement]] = []
-    outer_weight: ExponentVec | None = None
-    for comp in comps:
-        cls = classify_component(comp, sigma, space)
-        if isinstance(cls, Inner):
-            inner_part = inner_part + cls.inducer
-            reports.append(ComponentReport(comp.weight, "inner", None, cls.inducer))
-        elif isinstance(cls, LocallyInner):
-            locals_.append((cls.j, cls.inducer))
-            reports.append(ComponentReport(comp.weight, "locally_inner", cls.j, cls.inducer))
-        elif isinstance(cls, OuterConjugate):
-            reports.append(ComponentReport(comp.weight, "outer_conjugate", None, None))
-            if outer_weight is None:
-                outer_weight = comp.weight
-    if outer_weight is not None:
-        return outer_weight, tuple(reports)
+    for r in reports:
+        if r.kind == "inner":
+            inner_part = inner_part + r.inducer
+        else:
+            locals_.append((r.j, r.inducer))
 
     J = tuple(sorted({j for j, _ in locals_}))
     y = TorusElement.monomial(ctx, n, indicator(n, J))
@@ -405,7 +402,10 @@ def extend_by_ore(
     table = verify_normal(state, delta, J, t)
     new_row = tuple(scalar for _, scalar in table[:-1])
     new_space = SelectiveSpace(Q.append_row(new_row), state.inverted | set(J))
-    return Extension(new_space, J, t, new_row, tuple(reports), table)
+    report = StageReport(
+        stage_no, name, canonical_name, sigma.lambdas, reports, J, t, new_row, table
+    )
+    return new_space, report
 
 
 def weyl_witness(
@@ -522,34 +522,23 @@ def run_stage(
         )
         return new_state, report
 
-    result = extend_by_ore(state, delta)
-    if isinstance(result, tuple):
+    canonical_name = stage.rename or f"w{stage_no}"
+    result = extend_by_ore(state, delta, stage_no, stage.name, canonical_name)
+    if not isinstance(result[0], SelectiveSpace):
         weight, reports = result
         u, p = weyl_witness(state, delta, weight, reports)
         return WeylWitness(
             stage_no, weight, u, p, trace=(), names=state.names, var_name=stage.name,
         )
 
-    ext = result
-    canonical_name = stage.rename or f"w{stage_no}"
-    t_new = ext.t.extend_to(new_n)
+    space, report = result
+    t_new = report.t.extend_to(new_n)
     # x_i = y^-1 (v + t), evaluated in the extended matrix
-    y_inv = monomial_inverse(ext.space.Q, indicator(new_n, ext.J))
+    y_inv = monomial_inverse(space.Q, indicator(new_n, report.J))
     v_plus_t = TorusElement.generator(ctx, new_n, n) + t_new
     new_state = _adjoin(
-        state, ext.space, canonical_name, Derived(ext.J, len(state.orig_names), t_new),
-        stage.name, elem_mul(ext.space.Q, y_inv, v_plus_t),
-    )
-    report = StageReport(
-        stage_no,
-        stage.name,
-        canonical_name,
-        sigma.lambdas,
-        ext.components,
-        ext.J,
-        ext.t,
-        ext.new_row,
-        ext.normal_table,
+        state, space, canonical_name, Derived(report.J, len(state.orig_names), t_new),
+        stage.name, elem_mul(space.Q, y_inv, v_plus_t),
     )
     return new_state, report
 

@@ -34,6 +34,9 @@ from .orechain import StageSpec
 
 @dataclass(frozen=True)
 class StandaloneBlock:
+    """One selectively localized space, with a toric map and derivation
+    images when the file declares them (for ``classify`` and ``eval``)."""
+
     names: tuple[str, ...]
     space: SelectiveSpace
     sigma: ToricAutomorphism | None
@@ -48,6 +51,8 @@ class StandaloneBlock:
 
 @dataclass(frozen=True)
 class PresentationFile:
+    """A parsed file: its parameters, stages and standalone block."""
+
     ctx: ParameterContext
     stages: tuple[StageSpec, ...] | None
     block: StandaloneBlock | None
@@ -75,6 +80,16 @@ def parse_unit(text: str, ctx: ParameterContext) -> UnitMonomial:
     return u
 
 
+def _entry_text(entry: object, where: str) -> str:
+    """The text of a scalar or element entry: a string, or a JSON integer."""
+    # JSON true arrives as a bool, which isinstance would take for the int 1
+    if type(entry) is int:
+        return str(entry)
+    if not isinstance(entry, str):
+        raise InputError(f"{where} must be a string")
+    return entry
+
+
 class _UnitReader:
     """The unit-monomial entries of one file, each distinct text parsed once.
 
@@ -88,11 +103,7 @@ class _UnitReader:
         self.units: dict[str, UnitMonomial] = {}
 
     def __call__(self, entry: object, where: str) -> UnitMonomial:
-        # JSON true arrives as a bool, which isinstance would take for the int 1
-        if type(entry) is int:
-            entry = str(entry)
-        elif not isinstance(entry, str):
-            raise InputError(f"{where} must be a string")
+        entry = _entry_text(entry, where)
         unit = self.units.get(entry)
         if unit is None:
             try:
@@ -187,6 +198,21 @@ def _parse_stage(
     return StageSpec(name, sigma, tuple(deltas), rename)
 
 
+def _parse_image(
+    entry: object,
+    where: str,
+    ctx: ParameterContext,
+    Q: CommutationMatrix,
+    names: tuple[str, ...],
+) -> TorusElement:
+    text = _entry_text(entry, where)
+    try:
+        return parse_element(text, ctx, Q, names)
+    except InputError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 def _parse_block(raw: dict, ctx: ParameterContext, read: _UnitReader) -> StandaloneBlock:
     names = raw.get("generators")
     _require(
@@ -232,7 +258,8 @@ def _parse_block(raw: dict, ctx: ParameterContext, read: _UnitReader) -> Standal
         if unknown:
             raise UnknownIdentifier(f"derivation images for unknown generator(s) {sorted(unknown)}")
         images = tuple(
-            parse_element(str(der.get(name, "0")), ctx, Q, names) for name in names
+            _parse_image(der.get(name, "0"), f"derivation[{name!r}]", ctx, Q, names)
+            for name in names
         )
         _require(sigma is not None, "a derivation block needs a lambda entry")
     return StandaloneBlock(names, space, sigma, images)
@@ -243,6 +270,8 @@ def parse_presentation(text: str) -> PresentationFile:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from None
+    except ValueError:  # an integer with more digits than the interpreter converts
+        raise InputError("not valid JSON: integer literal too long") from None
     _require(isinstance(raw, dict), "top level must be an object")
 
     params = raw.get("parameters", [])
@@ -288,43 +317,3 @@ def load_presentation(path: str) -> PresentationFile:
             return parse_presentation(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-
-
-def render_presentation(pres: PresentationFile) -> str:
-    """Serialize back to the canonical JSON form; parse o render is a fixed
-    point on files produced by this function."""
-    from .exprs import render_ast
-    from .render import render_element, render_unit
-
-    doc: dict = {"parameters": list(pres.ctx.names)}
-    if pres.stages is not None:
-        stages = []
-        for spec in pres.stages:
-            entry: dict = {"name": spec.name}
-            if spec.rename:
-                entry["rename"] = spec.rename
-            if spec.sigma_eigs:
-                entry["sigma"] = [render_unit(u) for u in spec.sigma_eigs]
-            if any(t is not None for t in spec.delta_exprs):
-                entry["delta"] = [
-                    "0" if t is None else render_ast(t) for t in spec.delta_exprs
-                ]
-            stages.append(entry)
-        doc["stages"] = stages
-    if pres.block is not None:
-        block = pres.block
-        doc["generators"] = list(block.names)
-        doc["matrix"] = [
-            [render_unit(block.space.Q.entry(i, j)) for j in range(len(block.names))]
-            for i in range(len(block.names))
-        ]
-        doc["inverted"] = [block.names[i] for i in sorted(block.space.inverted)]
-        if block.sigma is not None:
-            doc["lambda"] = [render_unit(u) for u in block.sigma.lambdas]
-        if block.images is not None:
-            doc["derivation"] = {
-                name: render_element(im, block.names)
-                for name, im in zip(block.names, block.images)
-                if not im.is_zero()
-            }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

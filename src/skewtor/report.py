@@ -14,6 +14,7 @@ from .orechain import (
     WeylWitness,
 )
 from .render import render_element, render_exponents, render_unit
+from .skewder import ComponentReport
 
 
 def _generator_label(state: AlgebraState, i: int) -> str:
@@ -42,6 +43,25 @@ def provenance_equations(state: AlgebraState) -> list[str]:
     return out
 
 
+def component_dict(c: ComponentReport, names: tuple[str, ...]) -> dict[str, Any]:
+    """The JSON form of one component's verdict, with generator names."""
+    d: dict[str, Any] = {"weight": list(c.weight), "kind": c.kind}
+    if c.j is not None:
+        d["localized_at"] = names[c.j]
+    if c.inducer is not None:
+        d["inducer"] = render_element(c.inducer, names)
+    return d
+
+
+def describe_component(comp: dict[str, Any]) -> str:
+    """The verdict of a component dict, as the text views print it."""
+    if comp["kind"] == "inner":
+        return f"inner, induced by {comp['inducer']}"
+    if comp["kind"] == "locally_inner":
+        return f"locally inner at {comp['localized_at']}, induced by {comp['inducer']}"
+    return "conjugate to a derivation"
+
+
 def _stage_dict(rep: StageReport, names: tuple[str, ...]) -> dict[str, Any]:
     d: dict[str, Any] = {
         "stage": rep.stage,
@@ -50,19 +70,7 @@ def _stage_dict(rep: StageReport, names: tuple[str, ...]) -> dict[str, Any]:
         "lambda": [render_unit(u) for u in rep.lambdas],
     }
     if rep.components:
-        d["components"] = [
-            {
-                "weight": list(c.weight),
-                "kind": c.kind,
-                **({"localized_at": names[c.j]} if c.j is not None else {}),
-                **(
-                    {"inducer": render_element(c.inducer, names)}
-                    if c.inducer is not None
-                    else {}
-                ),
-            }
-            for c in rep.components
-        ]
+        d["components"] = [component_dict(c, names) for c in rep.components]
     if rep.J:
         d["localized"] = [names[j] for j in rep.J]
     if rep.t is not None and not rep.t.is_zero():
@@ -149,15 +157,7 @@ def to_text(report: dict[str, Any]) -> str:
             lines.append("  scaling on canonical generators: (" + ", ".join(stage["lambda"]) + ")")
         for comp in stage.get("components", []):
             w = render_exponents(tuple(comp["weight"]))
-            if comp["kind"] == "inner":
-                lines.append(f"  component of weight {w}: inner, induced by {comp['inducer']}")
-            elif comp["kind"] == "locally_inner":
-                lines.append(
-                    f"  component of weight {w}: locally inner at {comp['localized_at']}, "
-                    f"induced by {comp['inducer']}"
-                )
-            else:
-                lines.append(f"  component of weight {w}: conjugate to a derivation")
+            lines.append(f"  component of weight {w}: {describe_component(comp)}")
         if stage.get("t"):
             lines.append(f"  t = {stage['t']}")
         if stage.get("localized"):

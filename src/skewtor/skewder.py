@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import Inconsistent, InputError, NotValidated
+from .errors import Inconsistent, InputError, NotADerivation, NotValidated
 from .scalars import FieldElement, ParameterContext, UnitMonomial, um_prod
 from .torus import (
     CommutationMatrix,
@@ -117,44 +117,13 @@ class SkewDerivation:
         return f"SkewDerivation(n={self.n}, validated={self._validated})"
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First generator pair whose relation the images do not respect."""
-
-    i: int
-    j: int
-    lhs: TorusElement
-    rhs: TorusElement
-
-
-def zero_derivation(Q: CommutationMatrix, sigma: ToricAutomorphism) -> SkewDerivation:
-    z = TorusElement.zero(Q.ctx, Q.n)
-    d = SkewDerivation(Q, sigma, (z,) * Q.n)
-    validate_derivation(d)
-    return d
-
-
-def inner_derivation(
-    Q: CommutationMatrix, sig: ToricAutomorphism, a: TorusElement
-) -> SkewDerivation:
-    """The inner derivation r -> a r - sigma(r) a."""
-    images = []
-    for j in range(Q.n):
-        xj = TorusElement.generator(Q.ctx, Q.n, j)
-        im = elem_mul(Q, a, xj) - elem_scale(
-            FieldElement.from_unit(sig.lambdas[j]), elem_mul(Q, xj, a)
-        )
-        images.append(im)
-    # inner derivations satisfy the relations identically
-    return SkewDerivation.trusted(Q, sig, images)
-
-
-def validate_derivation(d: SkewDerivation) -> Violation | None:
+def validate_derivation(d: SkewDerivation) -> None:
     """Check compatibility with every relation x_i x_j = q_ij x_j x_i.
 
-    Returns the first failing pair, or None after marking the derivation
-    validated.  Together with the inverse-generator rule this pins down a
-    well-defined map on the whole torus.
+    Raises ``NotADerivation`` naming the first failing pair (i, j), with the
+    two differing sides as ``lhs`` and ``rhs``; on success marks the
+    derivation validated.  Together with the inverse-generator rule this pins
+    down a well-defined map on the whole torus.
     """
     Q, sig = d.Q, d.sigma
     ctx, n = Q.ctx, Q.n
@@ -174,9 +143,13 @@ def validate_derivation(d: SkewDerivation) -> Violation | None:
                 + elem_mul(Q, d.images[j], xi),
             )
             if lhs != rhs:
-                return Violation(i, j, lhs, rhs)
+                raise NotADerivation(
+                    f"generator images violate the relation between {i} and {j}",
+                    pair=(i, j),
+                    lhs=lhs,
+                    rhs=rhs,
+                )
     d._validated = True
-    return None
 
 
 def extend_derivation(d: SkewDerivation, u: TorusElement) -> TorusElement:
@@ -247,32 +220,12 @@ def extend_derivation(d: SkewDerivation, u: TorusElement) -> TorusElement:
     return result
 
 
-def is_q_skew(d: SkewDerivation, mu: UnitMonomial) -> bool:
-    """True iff d(sigma(x_j)) = mu * sigma(d(x_j)) for every generator."""
-    if not d._validated:
-        raise NotValidated("validate_derivation must pass first")
-    mu_f = FieldElement.from_unit(mu)
-    for j in range(d.n):
-        lam = FieldElement.from_unit(d.sigma.lambdas[j])
-        lhs = elem_scale(lam, d.images[j])
-        rhs = elem_scale(mu_f, apply_auto(d.sigma, d.images[j]))
-        if lhs != rhs:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class HomogeneousComponent:
     """The weight-d part: generator j maps to coeffs[j] * x^(d + e_j)."""
 
     weight: ExponentVec
     coeffs: tuple[FieldElement, ...]
-
-    def image(self, ctx: ParameterContext, j: int) -> TorusElement:
-        n = len(self.weight)
-        e = list(self.weight)
-        e[j] += 1
-        return TorusElement(ctx, n, {tuple(e): self.coeffs[j]})
 
 
 def decompose_homogeneous(d: SkewDerivation) -> list[HomogeneousComponent]:
@@ -295,23 +248,18 @@ def decompose_homogeneous(d: SkewDerivation) -> list[HomogeneousComponent]:
 
 
 @dataclass(frozen=True)
-class Inner:
-    inducer: TorusElement
+class ComponentReport:
+    """The verdict on one homogeneous component.
 
+    ``kind`` is "inner", "locally_inner" (at generator ``j``) or
+    "outer_conjugate"; ``inducer`` is the torus element inducing an inner or
+    locally inner component, and None for one conjugate to a derivation.
+    """
 
-@dataclass(frozen=True)
-class LocallyInner:
-    j: int
-    inducer: TorusElement
-
-
-@dataclass(frozen=True)
-class OuterConjugate:
     weight: ExponentVec
-    coeffs: tuple[FieldElement, ...]
-
-
-Classification = Inner | LocallyInner | OuterConjugate
+    kind: str
+    j: int | None
+    inducer: TorusElement | None
 
 
 def _check_compat(
@@ -339,7 +287,7 @@ def _check_compat(
 
 def classify_component(
     comp: HomogeneousComponent, sig: ToricAutomorphism, space: SelectiveSpace
-) -> Classification:
+) -> ComponentReport:
     """Decide inner / locally inner / conjugate-to-derivation for one weight."""
     Q = space.Q
     ctx, n = Q.ctx, Q.n
@@ -354,14 +302,14 @@ def classify_component(
     )
     if nonneg:
         if all(matches):
-            return OuterConjugate(d, comp.coeffs)
+            return ComponentReport(d, "outer_conjugate", None, None)
         j = next(i for i in range(n) if not comp.coeffs[i].is_zero())
         if matches[j]:
             raise Inconsistent(
                 f"nonzero image at generator {j} with vanishing drop at weight {d}"
             )
         b = comp.coeffs[j] / drops[j]
-        return Inner(TorusElement.monomial(ctx, n, d, b))
+        return ComponentReport(d, "inner", None, TorusElement.monomial(ctx, n, d, b))
 
     j = exceptional_index(d, space.inverted)
     if j is None:
@@ -384,9 +332,6 @@ def classify_component(
             f"forbidden case at weight {d}: a cocycle mismatch off index {j}"
         )
     if matches[j]:
-        coeffs = tuple(
-            comp.coeffs[i] if i == j else FieldElement.zero(ctx) for i in range(n)
-        )
-        return OuterConjugate(d, coeffs)
+        return ComponentReport(d, "outer_conjugate", None, None)
     b = comp.coeffs[j] / drops[j]
-    return LocallyInner(j, TorusElement.monomial(ctx, n, d, b))
+    return ComponentReport(d, "locally_inner", j, TorusElement.monomial(ctx, n, d, b))

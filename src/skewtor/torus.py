@@ -103,11 +103,6 @@ class CommutationMatrix:
             rows[j][i] = u.inv()
         return cls(ctx, rows)
 
-    @classmethod
-    def single_parameter(cls, ctx: ParameterContext, name: str, n: int) -> CommutationMatrix:
-        q = UnitMonomial.parameter(ctx, name)
-        return cls.from_upper(ctx, n, {(i, j): q for i in range(n) for j in range(i + 1, n)})
-
     def entry(self, i: int, j: int) -> UnitMonomial:
         return self.entries[i][j]
 
@@ -343,18 +338,6 @@ def membership(space: SelectiveSpace, u: TorusElement) -> bool:
     return all(
         all(x >= 0 for i, x in enumerate(e) if i not in inv) for e in u.terms
     )
-
-
-def is_exceptional(d: ExponentVec, j: int, inverted: Iterable[int] = ()) -> bool:
-    """Weight test: d_j = -1 and d_i >= 0 at every other non-inverted index."""
-    inv = frozenset(inverted)
-    if not 0 <= j < len(d):
-        raise IndexOutOfRange(f"index {j} out of range")
-    if j in inv:
-        raise IndexOutOfRange(f"index {j} is inverted; the test applies off the inverted set")
-    if d[j] != -1:
-        return False
-    return all(x >= 0 for i, x in enumerate(d) if i != j and i not in inv)
 
 
 def exceptional_index(d: ExponentVec, inverted: Iterable[int] = ()) -> int | None:

@@ -1,22 +1,33 @@
-"""Random instance generators shared by the derivation test suites."""
+"""Random instance generators and reference constructions shared by the
+test suites; the engine itself does not need them."""
 
+import json
 import random
 import re
+from typing import Iterable
 
 from skewtor import (
     CommutationMatrix,
     ExprSyntaxError,
     FieldElement,
+    HomogeneousComponent,
+    IndexOutOfRange,
+    NotValidated,
     ParameterContext,
+    PresentationFile,
     SkewDerivation,
     ToricAutomorphism,
     TorusElement,
     UnitMonomial,
-    inner_derivation,
+    apply_auto,
+    elem_mul,
+    elem_scale,
     qrs,
     validate_derivation,
 )
+from skewtor.exprs import render_ast
 from skewtor.presentation import parse_unit
+from skewtor.render import render_element, render_unit
 
 CTX = ParameterContext(["q", "p", "r", "l1"])
 
@@ -53,6 +64,108 @@ def random_element(
             c = c * FieldElement.from_unit(U(rng.choice(coeff_pool)))
         terms[e] = c
     return TorusElement(CTX, n, terms)
+
+
+def single_parameter(ctx: ParameterContext, name: str, n: int) -> CommutationMatrix:
+    """The matrix with q_ij = name for every i < j."""
+    q = UnitMonomial.parameter(ctx, name)
+    return CommutationMatrix.from_upper(
+        ctx, n, {(i, j): q for i in range(n) for j in range(i + 1, n)}
+    )
+
+
+def is_exceptional(d, j: int, inverted: Iterable[int] = ()) -> bool:
+    """Weight test: d_j = -1 and d_i >= 0 at every other non-inverted index."""
+    inv = frozenset(inverted)
+    if not 0 <= j < len(d):
+        raise IndexOutOfRange(f"index {j} out of range")
+    if j in inv:
+        raise IndexOutOfRange(f"index {j} is inverted; the test applies off the inverted set")
+    if d[j] != -1:
+        return False
+    return all(x >= 0 for i, x in enumerate(d) if i != j and i not in inv)
+
+
+def inner_derivation(
+    Q: CommutationMatrix, sig: ToricAutomorphism, a: TorusElement
+) -> SkewDerivation:
+    """The inner derivation r -> a r - sigma(r) a."""
+    images = []
+    for j in range(Q.n):
+        xj = TorusElement.generator(Q.ctx, Q.n, j)
+        im = elem_mul(Q, a, xj) - elem_scale(
+            FieldElement.from_unit(sig.lambdas[j]), elem_mul(Q, xj, a)
+        )
+        images.append(im)
+    # inner derivations satisfy the relations identically
+    return SkewDerivation.trusted(Q, sig, images)
+
+
+def zero_derivation(Q: CommutationMatrix, sigma: ToricAutomorphism) -> SkewDerivation:
+    z = TorusElement.zero(Q.ctx, Q.n)
+    d = SkewDerivation(Q, sigma, (z,) * Q.n)
+    validate_derivation(d)
+    return d
+
+
+def is_q_skew(d: SkewDerivation, mu: UnitMonomial) -> bool:
+    """True iff d(sigma(x_j)) = mu * sigma(d(x_j)) for every generator."""
+    if not d._validated:
+        raise NotValidated("validate_derivation must pass first")
+    mu_f = FieldElement.from_unit(mu)
+    for j in range(d.n):
+        lam = FieldElement.from_unit(d.sigma.lambdas[j])
+        lhs = elem_scale(lam, d.images[j])
+        rhs = elem_scale(mu_f, apply_auto(d.sigma, d.images[j]))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def component_image(
+    comp: HomogeneousComponent, ctx: ParameterContext, j: int
+) -> TorusElement:
+    """The image of generator j under the component alone."""
+    e = list(comp.weight)
+    e[j] += 1
+    return TorusElement(ctx, len(e), {tuple(e): comp.coeffs[j]})
+
+
+def render_presentation(pres: PresentationFile) -> str:
+    """Serialize back to the canonical JSON form; parse o render is a fixed
+    point on files produced by this function."""
+    doc: dict = {"parameters": list(pres.ctx.names)}
+    if pres.stages is not None:
+        stages = []
+        for spec in pres.stages:
+            entry: dict = {"name": spec.name}
+            if spec.rename:
+                entry["rename"] = spec.rename
+            if spec.sigma_eigs:
+                entry["sigma"] = [render_unit(u) for u in spec.sigma_eigs]
+            if any(t is not None for t in spec.delta_exprs):
+                entry["delta"] = [
+                    "0" if t is None else render_ast(t) for t in spec.delta_exprs
+                ]
+            stages.append(entry)
+        doc["stages"] = stages
+    if pres.block is not None:
+        block = pres.block
+        doc["generators"] = list(block.names)
+        doc["matrix"] = [
+            [render_unit(block.space.Q.entry(i, j)) for j in range(len(block.names))]
+            for i in range(len(block.names))
+        ]
+        doc["inverted"] = [block.names[i] for i in sorted(block.space.inverted)]
+        if block.sigma is not None:
+            doc["lambda"] = [render_unit(u) for u in block.sigma.lambdas]
+        if block.images is not None:
+            doc["derivation"] = {
+                name: render_element(im, block.names)
+                for name, im in zip(block.names, block.images)
+                if not im.is_zero()
+            }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def random_inner_derivation(

@@ -16,8 +16,6 @@ from skewtor import (
     FieldElement,
     HomogeneousComponent,
     Inconsistent,
-    Inner,
-    LocallyInner,
     ParameterContext,
     SelectiveSpace,
     SkewDerivation,
@@ -33,7 +31,6 @@ from skewtor import (
     elem_scale,
     extend_by_ore,
     extend_derivation,
-    inner_derivation,
     is_central,
     membership,
     monomial_mul,
@@ -51,6 +48,8 @@ from skewtor.presentation import (
 
 from helpers import (
     CTX as RCTX,
+    component_image,
+    inner_derivation,
     random_auto,
     random_element,
     random_inner_derivation,
@@ -184,13 +183,13 @@ def test_criterion_4_uqsl2_casimir():
 
     comps = decompose_homogeneous(der)
     assert [c.weight for c in comps] == [(-1, -1), (1, -1)]
-    cls = [classify_component(c, sig, space) for c in comps]
-    assert all(isinstance(c, LocallyInner) and c.j == 1 for c in cls)
+    reports = [classify_component(c, sig, space) for c in comps]
+    assert all(r.kind == "locally_inner" and r.j == 1 for r in reports)
     # inducers proportional to x2^-1 x1^-1 and x2^-1 x1, with exact scalars
-    assert cls[0].inducer == elem_scale(
+    assert reports[0].inducer == elem_scale(
         S("1/((q - q^-1)*(1 - q^2))"), E("x1^-1*x2^-1")
     )
-    assert cls[1].inducer == elem_scale(
+    assert reports[1].inducer == elem_scale(
         S("-1/((q - q^-1)*(1 - q^-2))"), E("x1*x2^-1")
     )
 
@@ -198,13 +197,13 @@ def test_criterion_4_uqsl2_casimir():
         ctx, Q, frozenset({0}), names, (Original(0), Original(1)), names,
         (E("x1"), E("x2")),
     )
-    ext = extend_by_ore(state, der)
-    assert not isinstance(ext, tuple)
+    extended, report = extend_by_ore(state, der, 3, "x3", "w3")
+    assert isinstance(extended, SelectiveSpace)
+    assert report.components == tuple(reports)
     # w = x2 x3 + (q - q^-1)^-2 (q x1^-1 + q^-1 x1): the subtracted part is -that
-    assert ext.t == elem_scale(
+    assert report.t == elem_scale(
         S("-1/((q - q^-1)*(q - q^-1))"), E("q*x1^-1 + q^-1*x1")
     )
-    extended = SelectiveSpace(ext.space.Q, ext.space.inverted)
     w = TorusElement.generator(ctx, 3, 2)
     assert is_central(extended, w)
 
@@ -241,10 +240,10 @@ def test_criterion_6_commutative_case():
         for d3 in range(0, 3):
             d = (d1, -1, d3)
             comp = HomogeneousComponent(d, (zero, one, zero))
-            cls = classify_component(comp, sig, space)
-            assert isinstance(cls, LocallyInner) and cls.j == 1
+            report = classify_component(comp, sig, space)
+            assert report.kind == "locally_inner" and report.j == 1
             # induced by (1 - l)^-1 x^d
-            assert cls.inducer == TorusElement.monomial(
+            assert report.inducer == TorusElement.monomial(
                 ctx, 3, d, one / (one - FieldElement.parameter(ctx, "l"))
             )
             count += 1
@@ -365,9 +364,9 @@ def test_criterion_7_classification_round_trip():
         if not comps:
             continue
         for comp in comps:
-            cls = classify_component(comp, sig, torus)
-            if isinstance(cls, (Inner, LocallyInner)):
-                back = inner_derivation(Q, sig, cls.inducer)
+            report = classify_component(comp, sig, torus)
+            if report.kind != "outer_conjugate":
+                back = inner_derivation(Q, sig, report.inducer)
                 for j in range(n):
-                    assert back.images[j] == comp.image(RCTX, j)
+                    assert back.images[j] == component_image(comp, RCTX, j)
                 cases += 1

@@ -184,8 +184,19 @@ def _with_block(**entries):
             _with_block(**{"lambda": ["1", "1/0"]}),
             "lambda[1]: division by zero scalar",
         ),
+        (
+            _with_block(derivation={"b": "a $"}),
+            "derivation['b']: unexpected character (at position 1: 'a' ^ ' $')",
+        ),
+        (
+            _with_block(derivation={"b": "c"}),
+            "derivation['b']: unknown identifier(s) ['c'] in 'c'",
+        ),
     ],
-    ids=["sigma", "delta", "repeated", "matrix-syntax", "matrix-unit", "lambda"],
+    ids=[
+        "sigma", "delta", "repeated", "matrix-syntax", "matrix-unit", "lambda",
+        "derivation-syntax", "derivation-unknown",
+    ],
 )
 def test_scalar_entry_errors_name_the_entry(tmp_path, capsys, doc, message):
     f = tmp_path / "p.json"
@@ -201,8 +212,9 @@ def test_scalar_entry_errors_name_the_entry(tmp_path, capsys, doc, message):
         (lambda v: _with_stage({"name": "z", "sigma": ["q", v]}), "stages[2]: sigma[1]"),
         (lambda v: _with_block(matrix=[["1", v], ["q^-1", "1"]]), "matrix[0][1]"),
         (lambda v: _with_block(**{"lambda": [v, "q"]}), "lambda[0]"),
+        (lambda v: _with_block(derivation={"b": v}), "derivation['b']"),
     ],
-    ids=["sigma", "matrix", "lambda"],
+    ids=["sigma", "matrix", "lambda", "derivation"],
 )
 def test_non_string_scalar_entries_are_rejected(tmp_path, capsys, doc, where, value):
     f = tmp_path / "p.json"
@@ -213,7 +225,11 @@ def test_non_string_scalar_entries_are_rejected(tmp_path, capsys, doc, where, va
 
 def test_integer_scalar_entries_are_accepted():
     def parse(three, one, minus_two):
-        doc = _with_block(matrix=[[one, "q"], ["q^-1", one]], **{"lambda": [minus_two, "q"]})
+        doc = _with_block(
+            matrix=[[one, "q"], ["q^-1", one]],
+            derivation={"a": three},
+            **{"lambda": [minus_two, "q"]},
+        )
         doc["stages"] = [*STAGES, {"name": "z", "sigma": [three, one]}]
         return parse_presentation(json.dumps(doc))
 
@@ -221,6 +237,40 @@ def test_integer_scalar_entries_are_accepted():
     assert as_ints.stages == as_text.stages
     assert as_ints.block.space.Q.entries == as_text.block.space.Q.entries
     assert as_ints.block.sigma.lambdas == as_text.block.sigma.lambdas
+    assert as_ints.block.images == as_text.block.images
+
+
+# more digits than the interpreter converts between text and int by default
+LONG = "1" * 5000
+
+
+def test_long_json_integer_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(
+        '{"parameters": ["q"], "stages": [{"name": "x"}, {"name": "y", "sigma": [%s]}]}'
+        % LONG,
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(["check", str(f)], capsys)
+    assert (code, out, err) == (1, "", "error: not valid JSON: integer literal too long\n")
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (_with_stage({"name": "z", "sigma": ["q", LONG]}), "stages[2]: sigma[1]"),
+        (_with_stage({"name": "z", "sigma": ["q", "1"], "delta": [f"{LONG}*x"]}),
+         "stages[2]: delta[0]"),
+        (_with_block(derivation={"b": f"a^{LONG}"}), "derivation['b']"),
+    ],
+    ids=["sigma", "delta", "exponent"],
+)
+def test_long_integer_literal_is_a_syntax_error(tmp_path, capsys, doc, where):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["check", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {where}: integer literal too long (at position ")
 
 
 def test_check_valid_and_invalid(tmp_path, capsys):
@@ -439,7 +489,9 @@ def test_delta_may_be_shorter():
 
 
 def test_presentation_render_round_trip():
-    from skewtor.presentation import load_presentation, render_presentation
+    from skewtor.presentation import load_presentation
+
+    from helpers import render_presentation
 
     for name in (
         "qmat3.json",
@@ -453,9 +505,7 @@ def test_presentation_render_round_trip():
         text = render_presentation(pres)
         again = parse_presentation(text)
         # printing the reparsed file reproduces the text exactly
-        from skewtor.presentation import render_presentation as rp
-
-        assert rp(again) == text
+        assert render_presentation(again) == text
 
 
 def test_each_distinct_scalar_entry_is_parsed_once(tmp_path, monkeypatch):

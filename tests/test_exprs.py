@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tokenize_oracle
+from helpers import single_parameter, tokenize_oracle
 from skewtor import (
-    CommutationMatrix,
     ExprSyntaxError,
     ParameterContext,
     TorusElement,
@@ -17,7 +16,7 @@ from skewtor.presentation import parse_element, parse_scalar, parse_unit
 from skewtor.render import render_element, render_scalar, render_unit
 
 CTX = ParameterContext(["q", "l1"])
-QP = CommutationMatrix.single_parameter(CTX, "q", 2)
+QP = single_parameter(CTX, "q", 2)
 NAMES = ("x1", "x2")
 
 

@@ -49,7 +49,13 @@ from skewtor.presentation import (
 from skewtor.report import build_report, to_json
 from skewtor.torus import indicator
 
-from helpers import random_auto, random_element, random_matrix
+from helpers import (
+    random_auto,
+    random_element,
+    random_matrix,
+    single_parameter,
+    zero_derivation,
+)
 
 P = "presentations"
 
@@ -71,7 +77,7 @@ def make_delta(ctx, Q, lambdas, images):
 
 def test_ore_relation():
     ctx = ParameterContext(["q"])
-    Q = CommutationMatrix.single_parameter(ctx, "q", 2)
+    Q = single_parameter(ctx, "q", 2)
     names = ("x", "y")
     E = lambda s: parse_element(s, ctx, Q, names)
     der = make_delta(ctx, Q, (parse_unit("q", ctx), parse_unit("q^-1", ctx)), (E("0"), E("1")))
@@ -127,11 +133,11 @@ def test_verify_normal_matches_the_ore_product_on_qmat3():
     for no, stage in enumerate(pres.stages, start=1):
         if state.n:
             der, _ = translate_derivation(state, stage)
-            ext = None if der.is_zero() else extend_by_ore(state, der)
-            if ext is not None:
-                table = verify_normal(state, der, ext.J, ext.t)
-                assert table == ext.normal_table
-                assert table == reference_normal_table(state, der, ext.J, ext.t), no
+            if not der.is_zero():
+                _, report = extend_by_ore(state, der, no, stage.name, "w")
+                table = verify_normal(state, der, report.J, report.t)
+                assert table == report.normal_table
+                assert table == reference_normal_table(state, der, report.J, report.t), no
                 checked += 1
         state, _ = run_stage(state, stage, no)
     assert checked == 4  # the stages adjoining x22, x23, x32 and x33
@@ -154,9 +160,9 @@ def test_verify_normal_rejects_a_wrong_t():
         ctx, Q, frozenset({0}), names, (Original(0), Original(1)), names,
         (E_("K"), E_("E")),
     )
-    ext = extend_by_ore(state, der)
+    _, report = extend_by_ore(state, der, 3, "F", "w3")
     with pytest.raises(NotNormal) as exc:
-        verify_normal(state, der, ext.J, ext.t + E_("K"))
+        verify_normal(state, der, report.J, report.t + E_("K"))
     # K commutes with the extra term; E does not
     assert exc.value.generator == "E" and "'E'" in str(exc.value)
     assert isinstance(exc.value.residual, TorusElement)
@@ -572,19 +578,22 @@ def test_verify_normal_uqsl2_casimir():
         names,
         (E_("K"), E_("E")),
     )
-    ext = extend_by_ore(state, der)
-    assert not isinstance(ext, tuple)
-    assert ext.J == (1,)
+    space3, report = extend_by_ore(state, der, 3, "F", "w3")
+    assert isinstance(space3, SelectiveSpace)
+    assert (report.stage, report.name, report.canonical_name) == (3, "F", "w3")
+    assert report.lambdas == sig.lambdas
+    assert [c.kind for c in report.components] == ["locally_inner", "locally_inner"]
+    assert report.J == (1,)
     # t = -(q - q^-1)^-2 (q K^-1 + q^-1 K), so w = E F + (q-q^-1)^-2 (q K^-1 + q^-1 K)
     minus = elem_scale(
         parse_scalar("-1/((q - q^-1)*(q - q^-1))", ctx), E_("q*K^-1 + q^-1*K")
     )
-    assert ext.t == minus
+    assert report.t == minus
     # every certified scalar equals 1: the new generator is central
     one = UnitMonomial.one(ctx)
-    assert all(s == one for _, s in ext.normal_table)
-    assert ext.new_row == (one, one)
-    space3 = SelectiveSpace(ext.space.Q, ext.space.inverted)
+    assert all(s == one for _, s in report.normal_table)
+    assert report.new_row == (one, one)
+    assert space3.inverted == frozenset({0, 1})
     assert is_central(space3, TorusElement.generator(ctx, 3, 2))
 
 
@@ -640,23 +649,21 @@ def test_qmat3_stage9_y22_component():
     target = E("(1 - q^2)*x11*x12^-1*x21^-1*y23*y32")
     (e, c) = next(iter(target.terms.items()))
     assert der.images[3].coefficient(e) == c
-    from skewtor import decompose_homogeneous, classify_component, LocallyInner
+    from skewtor import decompose_homogeneous, classify_component
 
     comps = {comp.weight: comp for comp in decompose_homogeneous(der)}
     comp = comps[(1, -1, -1, -1, 0, 1, 0, 1)]
-    cls = classify_component(comp, sigma, state8.space)
-    assert isinstance(cls, LocallyInner) and cls.j == 3
-    assert cls.inducer == E("q^2*x11*x12^-1*x21^-1*y22^-1*y23*y32")
+    report = classify_component(comp, sigma, state8.space)
+    assert report.kind == "locally_inner" and report.j == 3
+    assert report.inducer == E("q^2*x11*x12^-1*x21^-1*y22^-1*y23*y32")
 
 
 def test_verify_normal_zero_delta_table_is_eigenvalue_row():
     ctx = ParameterContext(["q"])
     U = lambda s: parse_unit(s, ctx)
-    Q = CommutationMatrix.single_parameter(ctx, "q", 2)
+    Q = single_parameter(ctx, "q", 2)
     names = ("x", "y")
     sig = ToricAutomorphism(ctx, (U("q"), U("q^-1")))
-    from skewtor import zero_derivation
-
     der = zero_derivation(Q, sig)
     from skewtor.orechain import AlgebraState, Original
 

@@ -17,7 +17,6 @@ from skewtor import (
     elem_mul,
     elem_scale,
     is_central,
-    is_exceptional,
     membership,
     monomial_inverse,
     monomial_mul,
@@ -25,6 +24,8 @@ from skewtor import (
 )
 from skewtor.presentation import parse_element, parse_unit
 from skewtor.torus import exceptional_index, max_support_from_environment
+
+from helpers import is_exceptional, single_parameter
 
 CTX = ParameterContext(["q", "p", "r"])
 ONE = UnitMonomial.one(CTX)
@@ -34,7 +35,7 @@ def U(text):
     return parse_unit(text, CTX)
 
 
-QPLANE = CommutationMatrix.single_parameter(CTX, "q", 2)
+QPLANE = single_parameter(CTX, "q", 2)
 Q3 = CommutationMatrix.from_upper(
     CTX, 3, {(0, 1): U("q"), (0, 2): U("p"), (1, 2): U("r")}
 )
@@ -156,7 +157,7 @@ def test_qrs_case_a_values():
 
 def test_qrs_single_parameter_family():
     for n in (2, 3, 4, 5):
-        Q = CommutationMatrix.single_parameter(CTX, "q", n)
+        Q = single_parameter(CTX, "q", n)
         d = tuple([-1] + [1] * (n - 1))
         assert qrs(Q, d, 0)[0] == U("q").pow(1 - n)
         for i in range(1, n):

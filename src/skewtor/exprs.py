@@ -104,7 +104,10 @@ class _Parser:
             raise ExprSyntaxError("integer literal too long", self.text, pos) from None
 
     def parse(self) -> Expr:
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise ExprSyntaxError("expression nested too deeply", self.text, self.peek()[2]) from None
         kind, _, pos = self.peek()
         if kind != "eof":
             raise ExprSyntaxError("trailing input", self.text, pos)
@@ -205,39 +208,26 @@ def evaluate(
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def render_ast(node: Expr) -> str:
-    """Expression tree back to source text; parse(render_ast(t)) == t holds
-    structurally for trees produced by parse_ast."""
-    if isinstance(node, Fraction):
-        return str(node)
-    if isinstance(node, Pow):
-        return node.name if node.k == 1 else f"{node.name}^{node.k}"
-    if isinstance(node, Term):
-        parts = []
-        for i, (f, inv) in enumerate(node.factors):
-            body = render_ast(f)
-            if isinstance(f, Sum) or (isinstance(f, Fraction) and "/" in body and i > 0):
-                body = f"({body})"
-            if i == 0:
-                parts.append(f"1/{body}" if inv else body)
-            else:
-                parts.append(("/" if inv else "*") + body)
-        return "".join(parts)
-    if isinstance(node, Sum):
-        out = []
-        for i, (sign, t) in enumerate(node.terms):
-            body = render_ast(t)
-            if isinstance(t, Sum):
-                body = f"({body})"
-            if i == 0:
-                out.append(f"-{body}" if sign < 0 else body)
-            else:
-                out.append((" - " if sign < 0 else " + ") + body)
-        return "".join(out)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # -- printing ---------------------------------------------------------------
+
+# fewer digits than the smallest limit the interpreter accepts for converting
+# an integer to a string (640)
+_CHUNK = 10**600
+
+
+def _rational_text(r: Fraction) -> str:
+    """``str(r)`` for a nonnegative rational.  Past the interpreter's digit
+    limit ``str`` raises, so long integers are printed 600 digits at a time."""
+    if r.numerator < _CHUNK and r.denominator < _CHUNK:
+        return str(r)
+    texts = []
+    for k in [r.numerator] if r.denominator == 1 else [r.numerator, r.denominator]:
+        chunks = []
+        while k >= _CHUNK:
+            k, low = divmod(k, _CHUNK)
+            chunks.append(f"{low:0600d}")
+        texts.append(str(k) + "".join(reversed(chunks)))
+    return "/".join(texts)
 
 
 def format_monomial(
@@ -252,9 +242,9 @@ def format_monomial(
         if e != 0
     ]
     if not parts:
-        return sign, str(mag)
+        return sign, _rational_text(mag)
     if mag != 1:
-        parts.insert(0, str(mag))
+        parts.insert(0, _rational_text(mag))
     return sign, "*".join(parts)
 
 

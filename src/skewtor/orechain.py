@@ -48,6 +48,7 @@ from .torus import (
     ExponentVec,
     SelectiveSpace,
     TorusElement,
+    elem_div,
     elem_inv,
     elem_mul,
     elem_pow,
@@ -213,19 +214,9 @@ def _eval_in_state(state: AlgebraState, tree: Expr) -> TorusElement:
             return TorusElement.scalar(ctx, n, FieldElement.parameter(ctx, name, k))
         raise InputError(f"unknown generator or parameter {name!r}")
 
-    def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
-        return elem_mul(Q, a, b)
-
-    def divide(a: TorusElement, b: TorusElement) -> TorusElement:
-        st = b.single_term()
-        if st is None:
-            raise InputError("division by a sum is not defined here")
-        e, c = st
-        if any(e):
-            return elem_mul(Q, a, elem_scale(c.inv(), monomial_inverse(Q, e)))
-        return elem_scale(c.inv(), a)
-
-    return evaluate(tree, constant, atom, multiply, divide)
+    return evaluate(
+        tree, constant, atom, lambda a, b: elem_mul(Q, a, b), lambda a, b: elem_div(Q, a, b)
+    )
 
 
 def translate_derivation(

@@ -21,14 +21,7 @@ from .errors import ArityMismatch, ExprSyntaxError, InputError, UnknownIdentifie
 from .exprs import Expr, evaluate, names_in, parse_ast
 from .scalars import FieldElement, ParameterContext, UnitMonomial
 from .skewder import SkewDerivation, ToricAutomorphism
-from .torus import (
-    CommutationMatrix,
-    SelectiveSpace,
-    TorusElement,
-    elem_mul,
-    elem_scale,
-    monomial_inverse,
-)
+from .torus import CommutationMatrix, SelectiveSpace, TorusElement, elem_div, elem_mul
 from .orechain import StageSpec
 
 
@@ -136,16 +129,9 @@ def parse_element(
             return TorusElement.generator(ctx, n, index[name], k)
         return TorusElement.scalar(ctx, n, FieldElement.parameter(ctx, name, k))
 
-    def divide(a: TorusElement, b: TorusElement) -> TorusElement:
-        st = b.single_term()
-        if st is None:
-            raise InputError("division by a sum is not defined here")
-        e, c = st
-        if any(e):
-            return elem_mul(Q, a, elem_scale(c.inv(), monomial_inverse(Q, e)))
-        return elem_scale(c.inv(), a)
-
-    return evaluate(tree, constant, atom, lambda a, b: elem_mul(Q, a, b), divide)
+    return evaluate(
+        tree, constant, atom, lambda a, b: elem_mul(Q, a, b), lambda a, b: elem_div(Q, a, b)
+    )
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -272,6 +258,8 @@ def parse_presentation(text: str) -> PresentationFile:
         raise InputError(f"not valid JSON: {exc}") from None
     except ValueError:  # an integer with more digits than the interpreter converts
         raise InputError("not valid JSON: integer literal too long") from None
+    except RecursionError:
+        raise InputError("not valid JSON: nested too deeply") from None
     _require(isinstance(raw, dict), "top level must be an object")
 
     params = raw.get("parameters", [])
@@ -315,5 +303,5 @@ def load_presentation(path: str) -> PresentationFile:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_presentation(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None

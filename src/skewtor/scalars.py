@@ -486,41 +486,27 @@ def _univariate_reduce(
             out[e[var] - lo] = c
         return out, lo
 
-    def trim(a: list[Fraction]) -> list[Fraction]:
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def pmod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        a = a[:]
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] -= f * bc
-            trim(a)
-        return a
-
-    def pdiv(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    def pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+        """Quotient and remainder; the remainder carries no trailing zero."""
         q = [Fraction(0)] * (len(a) - len(b) + 1)
         a = a[:]
         while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            q[len(a) - len(b)] = f
             shift = len(a) - len(b)
+            f = q[shift] = a[-1] / b[-1]
             for i, bc in enumerate(b):
                 a[shift + i] -= f * bc
-            trim(a)
-        return q
+            while a and a[-1] == 0:
+                a.pop()
+        return q, a
 
     an, lo_n = to_coeffs(num)
     ad, lo_d = to_coeffs(den)
     g, h = an[:], ad[:]
     while h:
-        g, h = h, pmod(g, h)
+        g, h = h, pdivmod(g, h)[1]
     if len(g) <= 1:
         return None
-    qn, qd = pdiv(an, g), pdiv(ad, g)
+    qn, qd = pdivmod(an, g)[0], pdivmod(ad, g)[0]
 
     def back(coeffs: list[Fraction], lo: int) -> LaurentPoly:
         terms = {}

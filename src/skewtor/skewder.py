@@ -3,7 +3,10 @@
 A toric automorphism scales each generator by a unit.  A skew derivation is
 determined by the images of the canonical generators and extends everywhere
 by the twisted Leibniz rule ``d(uv) = sigma(u) d(v) + d(u) v``, with
-``d(x^-1) = -sigma(x)^-1 d(x) x^-1`` on inverted generators.
+``d(x^-1) = -sigma(x)^-1 d(x) x^-1`` on inverted generators.  On the torus
+this is a closed form: a term ``a x^(w+e_j)`` of ``d(x_j)`` sends ``x_j^m`` to
+``a r_j(w)^(m-1) [m]_chi x^(w + m e_j)`` for the character
+``chi = lambda_j / q_j(w)``, and ``extend_derivation`` applies it.
 
 Every validated derivation splits into homogeneous components, one per
 weight vector.  For a fixed weight exactly one of two things happens: some
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import Inconsistent, InputError, NotADerivation, NotValidated
-from .scalars import FieldElement, ParameterContext, UnitMonomial, um_prod
+from .scalars import FieldElement, LaurentPoly, ParameterContext, UnitMonomial, um_prod
 from .torus import (
     CommutationMatrix,
     ExponentVec,
@@ -31,6 +34,7 @@ from .torus import (
     elem_mul,
     elem_scale,
     exceptional_index,
+    monomial_mul,
     qrs,
 )
 
@@ -43,11 +47,6 @@ class ToricAutomorphism:
     def __init__(self, ctx: ParameterContext, lambdas: Sequence[UnitMonomial]):
         self.ctx = ctx
         self.lambdas = tuple(lambdas)
-
-    @classmethod
-    def identity(cls, ctx: ParameterContext, n: int) -> ToricAutomorphism:
-        one = UnitMonomial.one(ctx)
-        return cls(ctx, (one,) * n)
 
     @property
     def n(self) -> int:
@@ -152,71 +151,65 @@ def validate_derivation(d: SkewDerivation) -> None:
     d._validated = True
 
 
-def extend_derivation(d: SkewDerivation, u: TorusElement) -> TorusElement:
-    """Apply the derivation to an arbitrary element via the Leibniz rule.
+def _bracket(chi: UnitMonomial, m: int) -> FieldElement:
+    """``[m]_chi``: ``1 + chi + ... + chi^(m-1)`` for m > 0 and
+    ``-(chi^-1 + ... + chi^m)`` for m < 0."""
+    terms = {}
+    for k in range(m) if m > 0 else range(m, 0):
+        p = chi.pow(k)
+        terms[p.exps] = terms.get(p.exps, 0) + (p.coeff if m > 0 else -p.coeff)
+    return FieldElement(LaurentPoly(chi.ctx, terms), LaurentPoly.one(chi.ctx))
 
-    Monomials are evaluated by peeling the highest-index generator power
-    first; scalars map to zero.
+
+def extend_derivation(d: SkewDerivation, u: TorusElement) -> TorusElement:
+    """Apply the derivation to an arbitrary element, in closed form.
+
+    Peeling generator powers from the highest index down gives
+    ``d(x^e) = sum_j sigma(x^(e_<j)) d(x_j^(e_j)) x^(e_>j)`` over the j with
+    ``e_j != 0``.  A term ``a x^(w+e_j)`` of ``d(x_j)`` contributes
+    ``a r_j(w)^-1 [m]_chi x^w x_j^m = a r_j(w)^(m-1) [m]_chi x^(w + m e_j)``
+    to ``d(x_j^m)``, with ``chi = lambda_j s_j(w) / r_j(w) = lambda_j / q_j(w)``
+    from ``qrs`` and ``[m]_chi`` as in ``_bracket``.  Scalars map to zero.
+    Each ``d(x^e)`` is summed before it is scaled by the coefficient of x^e,
+    as the recursive Leibniz rule does, so fractions keep the same form.
     """
     if not d._validated:
         raise NotValidated("validate_derivation must pass before extension")
     Q, sig = d.Q, d.sigma
     ctx, n = Q.ctx, Q.n
-    zero = TorusElement.zero(ctx, n)
-    power_cache: dict[tuple[int, int], TorusElement] = {}
-    mono_cache: dict[ExponentVec, TorusElement] = {}
-
-    def delta_power(j: int, m: int) -> TorusElement:
-        # fills the cache from x_j^(+-1) out to x_j^m, one power at a time
-        if m == 0:
-            return zero
-        got = power_cache.get((j, m))
-        if got is not None:
-            return got
-        step = 1 if m > 0 else -1
-        lam = FieldElement.from_unit(sig.lambdas[j])
-        if step == -1:
-            lam = lam.inv()
-        x_step = TorusElement.generator(ctx, n, j, step)
-        first = power_cache.get((j, step))
-        if first is None:
-            first = d.images[j]
-            if step == -1:
-                first = -elem_scale(lam, elem_mul(Q, x_step, elem_mul(Q, first, x_step)))
-            power_cache[(j, step)] = first
-        # delta(x^k) = lam*x^step*delta(x^(k - step)) + delta(x^step)*x^(k - step)
-        out = first
-        for k in range(2 * step, m + step, step):
-            got = power_cache.get((j, k))
-            if got is None:
-                rest = TorusElement.generator(ctx, n, j, k - step)
-                got = elem_scale(lam, elem_mul(Q, x_step, out)) + elem_mul(Q, first, rest)
-                power_cache[(j, k)] = got
-            out = got
-        return out
-
-    def delta_monomial(e: ExponentVec) -> TorusElement:
-        got = mono_cache.get(e)
-        if got is not None:
-            return got
-        j = max((i for i, k in enumerate(e) if k != 0), default=None)
-        if j is None:
-            out = zero
-        else:
-            head = e[:j] + (0,) * (n - j)
-            if all(k == 0 for k in head):
-                out = delta_power(j, e[j])
-            else:
-                head_mono = TorusElement.monomial(ctx, n, head)
-                tail = TorusElement.generator(ctx, n, j, e[j])
-                out = elem_mul(Q, apply_auto(sig, head_mono), delta_power(j, e[j]))
-                out = out + elem_mul(Q, delta_monomial(head), tail)
-        mono_cache[e] = out
-        return out
-
-    result = zero
+    # per term a x^v of d(x_j): v, a, r_j, chi and the memo m -> a [m]_chi,
+    # seeded with [1]_chi = 1; the cocycles at j do not read index j, so those
+    # of v = w + e_j are those of w
+    terms: dict[int, list[tuple]] = {}
+    for j in {j for e in u.terms for j, m in enumerate(e) if m}:
+        terms[j] = []
+        for v, a in d.images[j].terms.items():
+            q, r, _ = qrs(Q, v, j)
+            chi = um_prod(ctx, ((sig.lambdas[j], 1), (q, -1)))
+            terms[j].append((v, a, r, chi, {1: a}))
+    result = TorusElement.zero(ctx, n)
     for e, c in u:
-        result = result + elem_scale(c, delta_monomial(e))
+        de: dict[ExponentVec, FieldElement] = {}  # d(x^e)
+        for j, m in enumerate(e):
+            if not m:
+                continue
+            head, tail = e[:j] + (0,) * (n - j), (0,) * (j + 1) + e[j + 1 :]
+            lam_head = sig.eigenvalue(head)
+            for v, a, r, chi, scaled in terms[j]:
+                b = scaled.get(m)
+                if b is None:
+                    b = scaled[m] = a * _bracket(chi, m)
+                mu1, f = monomial_mul(Q, head, v[:j] + (v[j] - 1 + m,) + v[j + 1 :])
+                mu2, f = monomial_mul(Q, f, tail)
+                unit = um_prod(ctx, ((lam_head, 1), (r, m - 1), (mu1, 1), (mu2, 1)))
+                term = b * FieldElement.from_unit(unit)
+                s = de.get(f)
+                s = term if s is None else s + term
+                if s.is_zero():
+                    del de[f]
+                else:
+                    de[f] = s
+        result = result + elem_scale(c, TorusElement(ctx, n, de))
     return result
 
 

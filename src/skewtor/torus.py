@@ -86,23 +86,6 @@ class CommutationMatrix:
                         f"at ({i}, {j})"
                     )
 
-    @classmethod
-    def ones(cls, ctx: ParameterContext, n: int) -> CommutationMatrix:
-        one = UnitMonomial.one(ctx)
-        return cls(ctx, [[one] * n for _ in range(n)])
-
-    @classmethod
-    def from_upper(
-        cls, ctx: ParameterContext, n: int, upper: Mapping[tuple[int, int], UnitMonomial]
-    ) -> CommutationMatrix:
-        """Build from entries q_ij for i < j; the rest is forced."""
-        one = UnitMonomial.one(ctx)
-        rows = [[one] * n for _ in range(n)]
-        for (i, j), u in upper.items():
-            rows[i][j] = u
-            rows[j][i] = u.inv()
-        return cls(ctx, rows)
-
     def entry(self, i: int, j: int) -> UnitMonomial:
         return self.entries[i][j]
 
@@ -209,9 +192,6 @@ class TorusElement:
             return next(iter(self.terms.items()))
         return None
 
-    def coefficient(self, exps: ExponentVec) -> FieldElement:
-        return self.terms.get(tuple(exps), FieldElement.zero(self.ctx))
-
     def extend_to(self, n: int) -> TorusElement:
         """Reinterpret in a larger ambient by padding exponents with zeros."""
         if n == self.n:
@@ -306,6 +286,17 @@ def elem_inv(Q: CommutationMatrix, u: TorusElement) -> TorusElement:
         raise InputError("only monomials are invertible in the torus")
     e, c = st
     return elem_scale(c.inv(), monomial_inverse(Q, e))
+
+
+def elem_div(Q: CommutationMatrix, a: TorusElement, b: TorusElement) -> TorusElement:
+    """``a * b^-1`` for a single-term ``b``; a scalar ``b`` only rescales ``a``."""
+    st = b.single_term()
+    if st is None:
+        raise InputError("division by a sum is not defined here")
+    e, c = st
+    if any(e):
+        return elem_mul(Q, a, elem_inv(Q, b))
+    return elem_scale(c.inv(), a)
 
 
 def elem_pow(Q: CommutationMatrix, u: TorusElement, k: int) -> TorusElement:

@@ -4,7 +4,8 @@ test suites; the engine itself does not need them."""
 import json
 import random
 import re
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, Mapping
 
 from skewtor import (
     CommutationMatrix,
@@ -25,7 +26,7 @@ from skewtor import (
     qrs,
     validate_derivation,
 )
-from skewtor.exprs import render_ast
+from skewtor.exprs import Expr, Pow, Sum, Term
 from skewtor.presentation import parse_unit
 from skewtor.render import render_element, render_unit
 
@@ -38,11 +39,70 @@ def U(text):
     return parse_unit(text, CTX)
 
 
+def matrix_from_upper(
+    ctx: ParameterContext, n: int, upper: Mapping[tuple[int, int], UnitMonomial]
+) -> CommutationMatrix:
+    """Build from entries q_ij for i < j; the rest is forced."""
+    one = UnitMonomial.one(ctx)
+    rows = [[one] * n for _ in range(n)]
+    for (i, j), u in upper.items():
+        rows[i][j] = u
+        rows[j][i] = u.inv()
+    return CommutationMatrix(ctx, rows)
+
+
+def matrix_of_ones(ctx: ParameterContext, n: int) -> CommutationMatrix:
+    """The commutative n x n matrix."""
+    return matrix_from_upper(ctx, n, {})
+
+
+def identity_automorphism(ctx: ParameterContext, n: int) -> ToricAutomorphism:
+    """The toric map that fixes every generator."""
+    return ToricAutomorphism(ctx, (UnitMonomial.one(ctx),) * n)
+
+
+def coefficient(u: TorusElement, exps) -> FieldElement:
+    """The coefficient of ``x^exps`` in u (zero when absent)."""
+    return u.terms.get(tuple(exps), FieldElement.zero(u.ctx))
+
+
+def render_ast(node: Expr) -> str:
+    """Expression tree back to source text; parse(render_ast(t)) == t holds
+    structurally for trees produced by parse_ast."""
+    if isinstance(node, Fraction):
+        return str(node)
+    if isinstance(node, Pow):
+        return node.name if node.k == 1 else f"{node.name}^{node.k}"
+    if isinstance(node, Term):
+        parts = []
+        for i, (f, inv) in enumerate(node.factors):
+            body = render_ast(f)
+            if isinstance(f, Sum) or (isinstance(f, Fraction) and "/" in body and i > 0):
+                body = f"({body})"
+            if i == 0:
+                parts.append(f"1/{body}" if inv else body)
+            else:
+                parts.append(("/" if inv else "*") + body)
+        return "".join(parts)
+    if isinstance(node, Sum):
+        out = []
+        for i, (sign, t) in enumerate(node.terms):
+            body = render_ast(t)
+            if isinstance(t, Sum):
+                body = f"({body})"
+            if i == 0:
+                out.append(f"-{body}" if sign < 0 else body)
+            else:
+                out.append((" - " if sign < 0 else " + ") + body)
+        return "".join(out)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def random_matrix(rng: random.Random, n: int) -> CommutationMatrix:
     upper = {
         (i, j): U(rng.choice(UNIT_POOL)) for i in range(n) for j in range(i + 1, n)
     }
-    return CommutationMatrix.from_upper(CTX, n, upper)
+    return matrix_from_upper(CTX, n, upper)
 
 
 def random_unit(rng: random.Random) -> UnitMonomial:
@@ -69,9 +129,7 @@ def random_element(
 def single_parameter(ctx: ParameterContext, name: str, n: int) -> CommutationMatrix:
     """The matrix with q_ij = name for every i < j."""
     q = UnitMonomial.parameter(ctx, name)
-    return CommutationMatrix.from_upper(
-        ctx, n, {(i, j): q for i in range(n) for j in range(i + 1, n)}
-    )
+    return matrix_from_upper(ctx, n, {(i, j): q for i in range(n) for j in range(i + 1, n)})
 
 
 def is_exceptional(d, j: int, inverted: Iterable[int] = ()) -> bool:
@@ -166,6 +224,73 @@ def render_presentation(pres: PresentationFile) -> str:
                 if not im.is_zero()
             }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def leibniz_oracle(d: SkewDerivation, u: TorusElement) -> TorusElement:
+    """The twisted Leibniz extension by recursion, as the engine computed it
+    before the closed form: the reference ``extend_derivation`` must match.
+
+    ``d(x^e)`` peels the highest-index generator power first, and
+    ``d(x_j^k) = lambda_j x_j d(x_j^(k-1)) + d(x_j) x_j^(k-1)`` with
+    ``d(x_j^-1) = -lambda_j^-1 x_j^-1 d(x_j) x_j^-1`` for negative powers.
+    """
+    Q, sig = d.Q, d.sigma
+    ctx, n = Q.ctx, Q.n
+    zero = TorusElement.zero(ctx, n)
+    power_cache: dict = {}
+    mono_cache: dict = {}
+
+    def delta_power(j: int, m: int) -> TorusElement:
+        # fills the cache from x_j^(+-1) out to x_j^m, one power at a time
+        if m == 0:
+            return zero
+        got = power_cache.get((j, m))
+        if got is not None:
+            return got
+        step = 1 if m > 0 else -1
+        lam = FieldElement.from_unit(sig.lambdas[j])
+        if step == -1:
+            lam = lam.inv()
+        x_step = TorusElement.generator(ctx, n, j, step)
+        first = power_cache.get((j, step))
+        if first is None:
+            first = d.images[j]
+            if step == -1:
+                first = -elem_scale(lam, elem_mul(Q, x_step, elem_mul(Q, first, x_step)))
+            power_cache[(j, step)] = first
+        out = first
+        for k in range(2 * step, m + step, step):
+            got = power_cache.get((j, k))
+            if got is None:
+                rest = TorusElement.generator(ctx, n, j, k - step)
+                got = elem_scale(lam, elem_mul(Q, x_step, out)) + elem_mul(Q, first, rest)
+                power_cache[(j, k)] = got
+            out = got
+        return out
+
+    def delta_monomial(e) -> TorusElement:
+        got = mono_cache.get(e)
+        if got is not None:
+            return got
+        j = max((i for i, k in enumerate(e) if k != 0), default=None)
+        if j is None:
+            out = zero
+        else:
+            head = e[:j] + (0,) * (n - j)
+            if all(k == 0 for k in head):
+                out = delta_power(j, e[j])
+            else:
+                head_mono = TorusElement.monomial(ctx, n, head)
+                tail = TorusElement.generator(ctx, n, j, e[j])
+                out = elem_mul(Q, apply_auto(sig, head_mono), delta_power(j, e[j]))
+                out = out + elem_mul(Q, delta_monomial(head), tail)
+        mono_cache[e] = out
+        return out
+
+    result = zero
+    for e, c in u:
+        result = result + elem_scale(c, delta_monomial(e))
+    return result
 
 
 def random_inner_derivation(

@@ -12,7 +12,6 @@ from itertools import product
 import pytest
 
 from skewtor import (
-    CommutationMatrix,
     FieldElement,
     HomogeneousComponent,
     Inconsistent,
@@ -50,6 +49,8 @@ from helpers import (
     CTX as RCTX,
     component_image,
     inner_derivation,
+    matrix_from_upper,
+    matrix_of_ones,
     random_auto,
     random_element,
     random_inner_derivation,
@@ -98,7 +99,7 @@ def test_criterion_2_qmat2x2_case_b_weyl():
     assert isinstance(out, WeylWitness)
     assert out.stage == 4
     ctx = pres.ctx
-    Q3 = CommutationMatrix.from_upper(
+    Q3 = matrix_from_upper(
         ctx,
         3,
         {(0, 1): parse_unit("q", ctx), (0, 2): parse_unit("p", ctx), (1, 2): parse_unit("r", ctx)},
@@ -171,7 +172,7 @@ def test_criterion_4_uqsl2_casimir():
     ctx = ParameterContext(["q"])
     U = lambda s: parse_unit(s, ctx)
     S = lambda s: parse_scalar(s, ctx)
-    Q = CommutationMatrix.from_upper(ctx, 2, {(0, 1): U("q^2")})
+    Q = matrix_from_upper(ctx, 2, {(0, 1): U("q^2")})
     names = ("x1", "x2")
     E = lambda s: parse_element(s, ctx, Q, names)
     space = SelectiveSpace(Q, frozenset({0}))
@@ -212,7 +213,7 @@ def test_criterion_5_quantum_disc_values():
     """Locally inner derivations of the localized disc, exact image values."""
     ctx = ParameterContext(["q"])
     U = lambda s: parse_unit(s, ctx)
-    Q = CommutationMatrix.from_upper(ctx, 2, {(0, 1): U("q")})
+    Q = matrix_from_upper(ctx, 2, {(0, 1): U("q")})
     names = ("x", "w")
     E = lambda s: parse_element(s, ctx, Q, names)
     tau = ToricAutomorphism(ctx, (U("q"), U("1")))
@@ -229,7 +230,7 @@ def test_criterion_6_commutative_case():
     two scaled variables leave no room for any nonzero exceptional component."""
     ctx = ParameterContext(["l", "m"])
     U = lambda s: parse_unit(s, ctx)
-    Q = CommutationMatrix.ones(ctx, 3)
+    Q = matrix_of_ones(ctx, 3)
     space = SelectiveSpace(Q, frozenset())
     one = FieldElement.one(ctx)
     zero = FieldElement.zero(ctx)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -271,6 +272,70 @@ def test_long_integer_literal_is_a_syntax_error(tmp_path, capsys, doc, where):
     code, out, err = run_cli(["check", str(f)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {where}: integer literal too long (at position ")
+
+
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_bytes(b'{"parameters": [], "stages": [{"name": "x\xff"}]}')
+    code, out, err = run_cli(["check", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(["check", str(f)], capsys)
+    assert (code, out, err) == (1, "", "error: not valid JSON: nested too deeply\n")
+
+
+def test_deeply_nested_expression_is_a_syntax_error(capsys):
+    expr = "(" * 3000 + "E" + ")" * 3000
+    code, out, err = run_cli(["eval", f"{P}/classify_uqsl2.json", "--expr", expr], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: expression nested too deeply (at position ")
+    # nesting within the interpreter's depth still evaluates
+    expr = "(" * 200 + "E" + ")" * 200
+    code, out, _ = run_cli(["eval", f"{P}/classify_uqsl2.json", "--expr", expr], capsys)
+    assert (code, out) == (0, "E\n")
+
+
+def _from_digits(text: str) -> int:
+    # int() of the whole text would stop at the digit limit
+    value = 0
+    for i in range(0, len(text), 1000):
+        value = value * 10 ** len(text[i : i + 1000]) + int(text[i : i + 1000])
+    return value
+
+
+def test_coefficient_longer_than_the_digit_limit_is_printed(capsys):
+    n = int("7" * 3000)
+    code, out, err = run_cli(
+        ["eval", f"{P}/classify_uqsl2.json", "--expr", f"{n}*{n}/{n + 1}*E"], capsys
+    )
+    assert (code, err) == (0, "")
+    num, den = out.strip().removesuffix("*E").split("/")
+    assert (len(num), len(den)) == (6000, 3000)
+    assert Fraction(_from_digits(num), _from_digits(den)) == Fraction(n * n, n + 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", f"{P}/classify_uqsl2.json", "--expr", "E/(E + K)"],
+        ["run", "{stages}"],
+    ],
+    ids=["eval", "stage-delta"],
+)
+def test_division_by_a_sum_is_an_input_error(tmp_path, capsys, args):
+    f = tmp_path / "p.json"
+    f.write_text(
+        json.dumps(_with_stage({"name": "z", "sigma": ["1", "1"], "delta": ["x/(x + 1)"]})),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli([a.format(stages=f) for a in args], capsys)
+    assert (code, out) == (1, "")
+    assert err.endswith("division by a sum is not defined here\n")
 
 
 def test_check_valid_and_invalid(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import single_parameter, tokenize_oracle
+from helpers import render_ast, single_parameter, tokenize_oracle
 from skewtor import (
     ExprSyntaxError,
     ParameterContext,
@@ -122,7 +122,7 @@ def test_compound_coefficient_rendering():
 
 
 def test_render_ast_fixed_point():
-    from skewtor.exprs import parse_ast, render_ast
+    from skewtor.exprs import parse_ast
 
     cases = [
         "x1",

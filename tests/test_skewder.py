@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewtor import (
-    CommutationMatrix,
     FieldElement,
     Inconsistent,
     NotADerivation,
@@ -27,13 +28,19 @@ from skewtor import (
     validate_derivation,
 )
 from skewtor.presentation import parse_element, parse_scalar, parse_unit
+from skewtor.render import render_element
 
 from helpers import (
     CTX,
     U,
+    UNIT_POOL,
     component_image,
+    identity_automorphism,
     inner_derivation,
     is_q_skew,
+    leibniz_oracle,
+    matrix_from_upper,
+    matrix_of_ones,
     outer_derivation,
     random_auto,
     random_element,
@@ -98,14 +105,14 @@ def test_inner_derivation_zero_when_eigenvalues_match():
 
 def test_inner_derivation_quantum_disc_value():
     # one generator, sigma(y) = q y, inducer y^-1: delta(y) = 1 - q
-    Q1 = CommutationMatrix.ones(CTX, 1)
+    Q1 = matrix_of_ones(CTX, 1)
     sig = ToricAutomorphism(CTX, (U("q"),))
     der = inner_derivation(Q1, sig, TorusElement.generator(CTX, 1, 0, -1))
     assert der.images[0] == parse_element("1 - q", CTX, Q1, ("y",))
 
 
 def test_inner_derivation_case_a():
-    Q3 = CommutationMatrix.from_upper(
+    Q3 = matrix_from_upper(
         CTX, 3, {(0, 1): U("q"), (0, 2): U("p"), (1, 2): U("r")}
     )
     names = ("x1", "x2", "x3")
@@ -163,7 +170,7 @@ def test_extend_respects_defining_relation():
 
 def test_extend_quantum_disc_localization_values():
     # generators x^(+-1), w with x w = q w x; tau = (q, 1)
-    Q = CommutationMatrix.from_upper(CTX, 2, {(0, 1): U("q")})
+    Q = matrix_from_upper(CTX, 2, {(0, 1): U("q")})
     names = ("x", "w")
     tau = ToricAutomorphism(CTX, (U("q"), U("1")))
     for m in (1, 2, 3):
@@ -190,6 +197,61 @@ def test_leibniz_property_random():
             Q, extend_derivation(der, u), v
         )
         assert lhs == rhs
+
+
+_COEFFS = ["1", "-2", "1/3", "q", "3*p^-1", "q + 1", "1/(q - p)", "(q - 1)/(p + 2)"]
+
+
+def _exponents(n: int, bound: int):
+    return st.tuples(*[st.integers(-bound, bound)] * n)
+
+
+def _elements(n: int, bound: int):
+    coeffs = st.sampled_from(_COEFFS).map(lambda text: parse_scalar(text, CTX))
+    terms = st.dictionaries(_exponents(n, bound), coeffs, min_size=1, max_size=3)
+    return terms.map(lambda t: TorusElement(CTX, n, t))
+
+
+@st.composite
+def _derivations(draw) -> SkewDerivation:
+    """Valid derivations (inner, outer, or both) over a random matrix, and
+    invalid ones marked trusted."""
+    n = draw(st.integers(1, 4))
+    units = st.sampled_from(UNIT_POOL).map(U)
+    Q = matrix_from_upper(CTX, n, {(i, j): draw(units) for i in range(n) for j in range(i + 1, n)})
+    kind = draw(st.sampled_from(["inner", "outer", "mixed", "invalid"]))
+    if kind in ("inner", "invalid"):
+        sig = ToricAutomorphism(CTX, tuple(draw(units) for _ in range(n)))
+    else:
+        d = draw(_exponents(n, 2))
+        sig = sigma_made_inner(None, Q, d)
+    if kind == "invalid":
+        zero = st.just(TorusElement.zero(CTX, n))
+        return SkewDerivation.trusted(Q, sig, [draw(_elements(n, 2) | zero) for _ in range(n)])
+    images = [TorusElement.zero(CTX, n)] * n
+    if kind != "outer":
+        images = list(inner_derivation(Q, sig, draw(_elements(n, 2))).images)
+    if kind != "inner":
+        # sigma is conjugation by x^-d, so any x_j -> c x^(d + e_j) is a derivation
+        for j in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            e = tuple(k + (i == j) for i, k in enumerate(d))
+            c = parse_scalar(draw(st.sampled_from(_COEFFS)), CTX)
+            images[j] = images[j] + TorusElement.monomial(CTX, n, e, c)
+    der = SkewDerivation(Q, sig, images)
+    validate_derivation(der)
+    return der
+
+
+@settings(max_examples=200, deadline=None)
+@given(_derivations(), st.data())
+def test_closed_form_matches_the_leibniz_recursion(der, data):
+    # negative exponents invert generators; powers reach 6 in either direction
+    u = data.draw(_elements(der.n, 6))
+    got = extend_derivation(der, u)
+    want = leibniz_oracle(der, u)
+    assert got == want
+    names = tuple(f"x{i}" for i in range(der.n))
+    assert render_element(got, names) == render_element(want, names)
 
 
 # -- validation ---------------------------------------------------------------
@@ -259,7 +321,7 @@ def test_decompose_inner_monomial_single_weight():
 
 
 def test_decompose_uqsl2_two_components():
-    Q = CommutationMatrix.from_upper(CTX, 2, {(0, 1): U("q^2")})
+    Q = matrix_from_upper(CTX, 2, {(0, 1): U("q^2")})
     sig = ToricAutomorphism(CTX, (U("q^2"), U("1")))
     c = S("1/(q - q^-1)")
     images = (
@@ -341,7 +403,7 @@ def test_classify_quantum_plane_outer():
 
 
 def test_classify_case_a_full():
-    Q3 = CommutationMatrix.from_upper(
+    Q3 = matrix_from_upper(
         CTX, 3, {(0, 1): U("q"), (0, 2): U("p"), (1, 2): U("r")}
     )
     names = ("x1", "x2", "x3")
@@ -413,7 +475,7 @@ def test_classify_rejects_an_empty_component():
     from skewtor import HomogeneousComponent
 
     space = SelectiveSpace(QPLANE, frozenset())
-    sig = ToricAutomorphism.identity(CTX, 2)
+    sig = identity_automorphism(CTX, 2)
     comp = HomogeneousComponent((0, 0), (FieldElement.zero(CTX),) * 2)
     with pytest.raises(Inconsistent, match="empty component"):
         classify_component(comp, sig, space)

@@ -25,7 +25,7 @@ from skewtor import (
 from skewtor.presentation import parse_element, parse_unit
 from skewtor.torus import exceptional_index, max_support_from_environment
 
-from helpers import is_exceptional, single_parameter
+from helpers import is_exceptional, matrix_from_upper, matrix_of_ones, single_parameter
 
 CTX = ParameterContext(["q", "p", "r"])
 ONE = UnitMonomial.one(CTX)
@@ -36,7 +36,7 @@ def U(text):
 
 
 QPLANE = single_parameter(CTX, "q", 2)
-Q3 = CommutationMatrix.from_upper(
+Q3 = matrix_from_upper(
     CTX, 3, {(0, 1): U("q"), (0, 2): U("p"), (1, 2): U("r")}
 )
 
@@ -75,7 +75,7 @@ def test_monomial_mul_defining_relation():
 
 
 def test_monomial_mul_commutative():
-    Q = CommutationMatrix.ones(CTX, 3)
+    Q = matrix_of_ones(CTX, 3)
     scalar, exps = monomial_mul(Q, (2, -1, 3), (1, 4, -2))
     assert scalar == ONE and exps == (3, 3, 1)
 
@@ -97,7 +97,7 @@ def test_monomial_mul_matches_oracle_random_n4():
         upper = {
             (i, j): U(rng.choice(pool)) for i in range(n) for j in range(i + 1, n)
         }
-        Q = CommutationMatrix.from_upper(CTX, n, upper)
+        Q = matrix_from_upper(CTX, n, upper)
         a = tuple(rng.randint(-2, 2) for _ in range(n))
         b = tuple(rng.randint(-2, 2) for _ in range(n))
         assert monomial_mul(Q, a, b) == bubble_oracle(Q, a, b)
@@ -113,7 +113,7 @@ def test_cocycles_with_rational_coefficients_match_the_oracle():
         upper = {
             (i, j): U(rng.choice(pool)) for i in range(n) for j in range(i + 1, n)
         }
-        Q = CommutationMatrix.from_upper(CTX, n, upper)
+        Q = matrix_from_upper(CTX, n, upper)
         a = tuple(rng.randint(-3, 3) for _ in range(n))
         b = tuple(rng.randint(-3, 3) for _ in range(n))
         assert monomial_mul(Q, a, b) == bubble_oracle(Q, a, b)
@@ -133,7 +133,7 @@ def test_cocycle_associativity():
             for i in range(n)
             for j in range(i + 1, n)
         }
-        Q = CommutationMatrix.from_upper(CTX, n, upper)
+        Q = matrix_from_upper(CTX, n, upper)
         a, b, c = (
             tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)
         )
@@ -178,7 +178,7 @@ def test_qrs_identity_q_equals_r_times_s_inverse():
             for i in range(n)
             for j in range(i + 1, n)
         }
-        Q = CommutationMatrix.from_upper(CTX, n, upper)
+        Q = matrix_from_upper(CTX, n, upper)
         d = tuple(rng.randint(-3, 3) for _ in range(n))
         j = rng.randrange(n)
         qj, rj, sj = qrs(Q, d, j)
@@ -248,7 +248,7 @@ def test_is_central():
     space = SelectiveSpace(QPLANE, frozenset())
     assert is_central(space, TorusElement.one(CTX, 2))
     assert not is_central(space, E("x1"))
-    comm = SelectiveSpace(CommutationMatrix.ones(CTX, 2), frozenset())
+    comm = SelectiveSpace(matrix_of_ones(CTX, 2), frozenset())
     assert is_central(comm, E("x1*x2 + x2^2", comm.Q))
 
 
@@ -261,7 +261,7 @@ def test_is_central_agrees_with_commutators():
             for i in range(n)
             for j in range(i + 1, n)
         }
-        Q = CommutationMatrix.from_upper(CTX, n, upper)
+        Q = matrix_from_upper(CTX, n, upper)
         space = SelectiveSpace(Q, frozenset())
         u = TorusElement(
             CTX,
@@ -296,7 +296,7 @@ def test_degenerate_ambients():
     one = TorusElement.one(CTX, 0)
     assert elem_mul(Q0, one, one) == one
     # n = 1: Laurent polynomials in one variable
-    Q1 = CommutationMatrix.ones(CTX, 1)
+    Q1 = matrix_of_ones(CTX, 1)
     u = TorusElement.generator(CTX, 1, 0, -3)
     assert elem_mul(Q1, u, TorusElement.generator(CTX, 1, 0, 3)) == TorusElement.one(CTX, 1)
 

@@ -182,8 +182,15 @@ def evaluate(
     atom: Callable[[str, int], object],
     multiply: Callable[[object, object], object],
     divide: Callable[[object, object], object],
+    memo: dict | None = None,
 ):
-    """Fold an AST in any domain with + and unary - operators and mul/div hooks."""
+    """Fold an AST in any domain with + and unary - operators and mul/div hooks.
+
+    With a ``memo`` dict, the value of each ``Sum`` is stored under the node
+    and reused for every equal node (nodes are frozen, so equal subtrees are
+    equal keys).  The caller owns the dict: it must not outlive the hooks the
+    values were made with, and the values must not be mutated.
+    """
     if isinstance(node, Fraction):
         return constant(node)
     if isinstance(node, Pow):
@@ -191,19 +198,23 @@ def evaluate(
     if isinstance(node, Term):
         out = None
         for f, inv in node.factors:
-            v = evaluate(f, constant, atom, multiply, divide)
+            v = evaluate(f, constant, atom, multiply, divide, memo)
             if out is None:
                 out = divide(constant(Fraction(1)), v) if inv else v
             else:
                 out = divide(out, v) if inv else multiply(out, v)
         return out
     if isinstance(node, Sum):
-        out = None
+        out = None if memo is None else memo.get(node)
+        if out is not None:
+            return out
         for sign, t in node.terms:
-            v = evaluate(t, constant, atom, multiply, divide)
+            v = evaluate(t, constant, atom, multiply, divide, memo)
             if sign < 0:
                 v = -v
             out = v if out is None else out + v
+        if memo is not None:
+            memo[node] = out
         return out
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -199,8 +199,9 @@ def canonical_eigenvalues(
     return tuple(eigs)
 
 
-def _eval_in_state(state: AlgebraState, tree: Expr) -> TorusElement:
-    """Evaluate an expression over original generator names inside the state."""
+def _eval_in_state(state: AlgebraState, tree: Expr, memo: dict | None = None) -> TorusElement:
+    """Evaluate an expression over original generator names inside the state;
+    ``memo`` is passed on to ``evaluate`` and only valid for this state."""
     ctx, n, Q = state.ctx, state.n, state.Q
     bindings = dict(zip(state.orig_names, state.orig_expr))
 
@@ -215,7 +216,7 @@ def _eval_in_state(state: AlgebraState, tree: Expr) -> TorusElement:
         raise InputError(f"unknown generator or parameter {name!r}")
 
     return evaluate(
-        tree, constant, atom, lambda a, b: elem_mul(Q, a, b), lambda a, b: elem_div(Q, a, b)
+        tree, constant, atom, lambda a, b: elem_mul(Q, a, b), lambda a, b: elem_div(Q, a, b), memo
     )
 
 
@@ -232,11 +233,14 @@ def translate_derivation(
     eigs = canonical_eigenvalues(state, stage.sigma_eigs)
     sigma = ToricAutomorphism(ctx, eigs)
 
+    # a sum repeated across the delta entries (the inducer of an inner part,
+    # say) is evaluated once
+    memo: dict[Expr, TorusElement] = {}
     deltas: list[TorusElement] = []
     for k in range(len(state.orig_names)):
         tree = stage.delta_exprs[k] if k < len(stage.delta_exprs) else None
         deltas.append(
-            TorusElement.zero(ctx, n) if tree is None else _eval_in_state(state, tree)
+            TorusElement.zero(ctx, n) if tree is None else _eval_in_state(state, tree, memo)
         )
 
     images: list[TorusElement] = []

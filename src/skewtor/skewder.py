@@ -9,13 +9,18 @@ this is a closed form: a term ``a x^(w+e_j)`` of ``d(x_j)`` sends ``x_j^m`` to
 ``chi = lambda_j / q_j(w)``, and ``extend_derivation`` applies it.
 
 Every validated derivation splits into homogeneous components, one per
-weight vector.  For a fixed weight exactly one of two things happens: some
-commutation cocycle ``q_j(d)`` differs from the eigenvalue ``lambda_j`` and
-the component is inner (or locally inner at a single generator when the
-weight dips to -1 there), or all cocycles match the eigenvalues and the
-component is conjugate to an honest derivation.  In the second case the
-weight itself witnesses that the automorphism is inner on the torus: it is
-conjugation by ``x^-d``.  ``classify_component`` decides the case exactly.
+weight vector.  A component ``x_j -> a_j x^(d+e_j)`` has coefficients
+proportional to its drops ``drop_j = r_j(d) - lambda_j s_j(d)``: the identity
+``a_i drop_j = a_j drop_i`` for every pair is the same as
+``a_i drop_p = a_p drop_i`` for every i, with p the first index whose drop is
+nonzero, so each component is checked against that one pivot.  For a fixed
+weight exactly one of two things happens: some commutation cocycle ``q_j(d)``
+differs from the eigenvalue ``lambda_j`` and the component is inner (or
+locally inner at a single generator when the weight dips to -1 there), or
+all cocycles match the eigenvalues and the component is conjugate to an
+honest derivation.  In the second case the weight itself witnesses that the
+automorphism is inner on the torus: it is conjugation by ``x^-d``.
+``classify_component`` decides the case exactly.
 """
 
 from __future__ import annotations
@@ -258,7 +263,14 @@ class ComponentReport:
 def _check_compat(
     comp: HomogeneousComponent, sig: ToricAutomorphism, Q: CommutationMatrix
 ) -> list[FieldElement]:
-    """Verify the pairwise coefficient identity; return the drops r_j - l_j s_j."""
+    """Verify the pairwise coefficient identity against the pivot p, the
+    first nonzero drop; return the drops ``r_j - l_j s_j``.
+
+    The identity holds trivially when every drop is zero.  The first i that
+    fails ``a_i drop_p = a_p drop_i`` also gives the first failing pair in
+    row-major order: (i, p) for i < p, since the drops before p vanish, and
+    (p, i) for i > p.
+    """
     n = Q.n
     d = comp.weight
     drops = []
@@ -269,9 +281,11 @@ def _check_compat(
             - FieldElement.from_unit(sig.lambdas[j]) * FieldElement.from_unit(s)
         )
     a = comp.coeffs
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * drops[j] != a[j] * drops[i]:
+    p = next((j for j in range(n) if not drops[j].is_zero()), None)
+    if p is not None:
+        for i in range(n):
+            if i != p and a[i] * drops[p] != a[p] * drops[i]:
+                i, j = min(i, p), max(i, p)
                 raise Inconsistent(
                     f"coefficient identity fails for pair ({i}, {j}) at weight {d}"
                 )

@@ -300,8 +300,24 @@ def elem_div(Q: CommutationMatrix, a: TorusElement, b: TorusElement) -> TorusEle
 
 
 def elem_pow(Q: CommutationMatrix, u: TorusElement, k: int) -> TorusElement:
+    """``u^k``; a negative k inverts a single-term u first.
+
+    A single term ``c x^e`` has the closed form
+    ``c^k mu^(k(k-1)/2) x^(ke)`` with ``x^e x^e = mu x^(2e)``, since
+    ``x^(je) x^e = mu^j x^((j+1)e)``; a unit c is raised in one step, and
+    the result prints as the repeated product does.  Anything else is
+    multiplied out.
+    """
     if k < 0:
         return elem_pow(Q, elem_inv(Q, u), -k)
+    st = u.single_term()
+    if st is not None:
+        e, c = st
+        mu, _ = monomial_mul(Q, e, e)
+        scale = mu.pow(k * (k - 1) // 2)
+        unit = c.as_unit()
+        coeff = c**k * scale.to_field() if unit is None else (unit.pow(k) * scale).to_field()
+        return TorusElement.monomial(u.ctx, u.n, tuple(k * x for x in e), coeff)
     out = TorusElement.one(u.ctx, u.n)
     for _ in range(k):
         out = elem_mul(Q, out, u)

@@ -4,7 +4,9 @@ test suites; the engine itself does not need them."""
 import json
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Mapping
 
 from skewtor import (
@@ -12,6 +14,7 @@ from skewtor import (
     ExprSyntaxError,
     FieldElement,
     HomogeneousComponent,
+    Inconsistent,
     IndexOutOfRange,
     NotValidated,
     ParameterContext,
@@ -21,6 +24,7 @@ from skewtor import (
     TorusElement,
     UnitMonomial,
     apply_auto,
+    elem_inv,
     elem_mul,
     elem_scale,
     qrs,
@@ -351,3 +355,53 @@ def tokenize_oracle(text: str) -> list[tuple[str, str, int]]:
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_families():
+    """The benchmark's instance generators, ``bench/families.py``."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import families
+    finally:
+        sys.path.remove(str(BENCH))
+    return families
+
+
+def pairwise_compat(
+    comp: HomogeneousComponent, sig: ToricAutomorphism, Q: CommutationMatrix
+) -> list[FieldElement]:
+    """The coefficient identity ``a_i drop_j = a_j drop_i`` checked on every
+    pair, as the engine did before it checked against one pivot: returns
+    the drops ``r_j - l_j s_j`` or raises ``Inconsistent`` naming the first
+    failing pair."""
+    n = Q.n
+    d = comp.weight
+    drops = []
+    for j in range(n):
+        _, r, s = qrs(Q, d, j)
+        drops.append(
+            FieldElement.from_unit(r)
+            - FieldElement.from_unit(sig.lambdas[j]) * FieldElement.from_unit(s)
+        )
+    a = comp.coeffs
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i] * drops[j] != a[j] * drops[i]:
+                raise Inconsistent(
+                    f"coefficient identity fails for pair ({i}, {j}) at weight {d}"
+                )
+    return drops
+
+
+def power_by_multiplication(Q: CommutationMatrix, u: TorusElement, k: int) -> TorusElement:
+    """``u^k`` one ``elem_mul`` at a time (a negative k inverts u first), as
+    ``elem_pow`` computed every power before its single-term closed form."""
+    if k < 0:
+        return power_by_multiplication(Q, elem_inv(Q, u), -k)
+    out = TorusElement.one(u.ctx, u.n)
+    for _ in range(k):
+        out = elem_mul(Q, out, u)
+    return out

@@ -12,23 +12,15 @@ from skewtor import ArityMismatch, InputError, UnknownIdentifier
 from skewtor.cli import main
 from skewtor.presentation import parse_presentation
 
+from helpers import BENCH, bench_families
+
 P = "presentations"
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def bench_families():
-    sys.path.insert(0, str(BENCH))
-    try:
-        import families
-    finally:
-        sys.path.remove(str(BENCH))
-    return families
 
 
 def test_run_case_a(capsys):
@@ -459,6 +451,24 @@ def test_deep_powers_in_the_leibniz_extension(tmp_path, capsys):
     # delta(x^-m) = -(q^-1 + ... + q^-m) x^-m when delta(x) = x, sigma(x) = q x
     terms = " - ".join(f"q^-{k}" for k in range(1, 1001))
     assert out.strip() == f"(-{terms})*x^-1000"
+
+
+def test_deep_generator_power_in_a_delta_entry(tmp_path, capsys):
+    # x^1000000 is one closed-form power, not a million products
+    f = tmp_path / "deep.json"
+    f.write_text(
+        json.dumps(
+            {
+                "parameters": [],
+                "stages": [{"name": "x"}, {"name": "y", "sigma": ["1"], "delta": ["x^1000000"]}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(["run", str(f)], capsys)
+    assert code == 10
+    assert "weight: (999999)" in out.splitlines()
+    assert "u = x^-1000000*y" in out.splitlines()
 
 
 def test_unexpected_exception_exits_2(monkeypatch, capsys):

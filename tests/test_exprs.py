@@ -1,19 +1,27 @@
 """Grammar: parsing, printing, and the round-trip fixed point."""
 
+import json
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import render_ast, single_parameter, tokenize_oracle
+from helpers import bench_families, render_ast, single_parameter, tokenize_oracle
 from skewtor import (
     ExprSyntaxError,
+    FieldElement,
+    InputError,
     ParameterContext,
     TorusElement,
     UnknownIdentifier,
+    elem_mul,
 )
-from skewtor.exprs import _Parser
-from skewtor.presentation import parse_element, parse_scalar, parse_unit
+from skewtor import exprs, orechain
+from skewtor.exprs import Sum, _Parser, evaluate, parse_ast
+from skewtor.presentation import parse_element, parse_presentation, parse_scalar, parse_unit
 from skewtor.render import render_element, render_scalar, render_unit
+from skewtor.torus import elem_div
 
 CTX = ParameterContext(["q", "l1"])
 QP = single_parameter(CTX, "q", 2)
@@ -163,3 +171,80 @@ def test_unexpected_character_is_located_before_its_whitespace():
         parse_scalar("x $ 2", CTX)
     assert str(exc.value) == "unexpected character (at position 1: 'x' ^ ' $ 2')"
     assert parse_scalar("q \t\n", CTX) == parse_scalar("q", CTX)
+
+
+# -- the per-stage memo of evaluate ---------------------------------------------
+
+_SUMS = ["(x1 + q*x2)", "(x1 - 2)", "(q - 1)", "(x2^-1 + 1/2*x1)"]
+
+
+def _fold(tree, memo=None):
+    n = QP.n
+
+    def constant(c):
+        return TorusElement.scalar(CTX, n, FieldElement.rational(CTX, c))
+
+    def atom(name, k):
+        if name in NAMES:
+            return TorusElement.generator(CTX, n, NAMES.index(name), k)
+        return TorusElement.scalar(CTX, n, FieldElement.parameter(CTX, name, k))
+
+    return evaluate(
+        tree, constant, atom, lambda a, b: elem_mul(QP, a, b), lambda a, b: elem_div(QP, a, b), memo
+    )
+
+
+def _fold_outcome(tree, memo):
+    try:
+        value = _fold(tree, memo)
+    except InputError as exc:
+        return "input error", str(exc)
+    return value, render_element(value, NAMES)
+
+
+_leaves = st.sampled_from(["x1", "x2^-1", "q", "3", *_SUMS])
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda t: f"({t[0]} + {t[1]})"),  # nested sums
+        st.tuples(kids, kids).map(lambda t: f"{t[0]}*{t[1]}"),
+        st.tuples(kids, kids).map(lambda t: f"{t[0]}/{t[1]}"),  # divides by a sum at times
+        kids.map(lambda t: f"(-{t})"),  # a sum under unary minus
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _trees)
+def test_the_memo_is_invisible(a, b):
+    # a enters twice, as the inducer of an inner derivation does
+    tree = parse_ast(f"({a})*x1 - q*x1*({a}) + ({b})*({a})")
+    memo = {}
+    assert _fold_outcome(tree, memo) == _fold_outcome(tree, None)
+    # a second fold through the filled memo gives the same value again
+    assert _fold_outcome(tree, memo) == _fold_outcome(tree, None)
+
+
+def test_each_distinct_sum_is_folded_once_per_stage(monkeypatch):
+    pres = parse_presentation(json.dumps(bench_families().weyl(0).presentation))
+    real = exprs.evaluate
+    memos = []  # kept alive, so that each stage's memo has its own id
+    seen, folds = Counter(), Counter()
+
+    def counting(node, constant, atom, multiply, divide, memo=None):
+        if isinstance(node, Sum):
+            if not any(m is memo for m in memos):
+                memos.append(memo)
+            seen[node] += 1
+            if node not in memo:
+                folds[id(memo), node] += 1
+        return real(node, constant, atom, multiply, divide, memo)
+
+    monkeypatch.setattr(exprs, "evaluate", counting)
+    monkeypatch.setattr(orechain, "evaluate", counting)
+    orechain.run_all(pres.ctx, pres.stages)
+    assert len(memos) == 1  # only the last stage has delta entries
+    assert folds and set(folds.values()) == {1}
+    # the inner part's a appears twice in each of the 8 delta entries
+    assert max(seen.values()) == 16

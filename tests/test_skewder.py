@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from skewtor import (
     FieldElement,
+    HomogeneousComponent,
     Inconsistent,
     NotADerivation,
     NotValidated,
@@ -28,7 +29,8 @@ from skewtor import (
     validate_derivation,
 )
 from skewtor.presentation import parse_element, parse_scalar, parse_unit
-from skewtor.render import render_element
+from skewtor.render import render_element, render_scalar
+from skewtor.skewder import _check_compat
 
 from helpers import (
     CTX,
@@ -42,6 +44,7 @@ from helpers import (
     matrix_from_upper,
     matrix_of_ones,
     outer_derivation,
+    pairwise_compat,
     random_auto,
     random_element,
     random_inner_derivation,
@@ -368,6 +371,76 @@ def test_pairwise_identity_on_validated_components():
             for i in range(n):
                 for j in range(i + 1, n):
                     assert comp.coeffs[i] * drops[j] == comp.coeffs[j] * drops[i]
+
+
+def _compat_outcome(check, comp, sig, Q):
+    try:
+        drops = check(comp, sig, Q)
+    except Inconsistent as exc:
+        return str(exc)
+    return [render_scalar(c) for c in drops]
+
+
+@st.composite
+def _components(draw):
+    """A weight, an eigenvalue per generator (its cocycle q_j(d), so a zero
+    drop, or a random unit) and coefficients proportional to the drops, some
+    of them replaced by random scalars."""
+    n = draw(st.integers(2, 5))
+    units = st.sampled_from(UNIT_POOL).map(U)
+    Q = matrix_from_upper(CTX, n, {(i, j): draw(units) for i in range(n) for j in range(i + 1, n)})
+    d = draw(_exponents(n, 2))
+    sig = ToricAutomorphism(
+        CTX, tuple(qrs(Q, d, j)[0] if draw(st.booleans()) else draw(units) for j in range(n))
+    )
+    scalars = st.sampled_from(["0", *_COEFFS]).map(lambda text: parse_scalar(text, CTX))
+    drops = pairwise_compat(HomogeneousComponent(d, (FieldElement.zero(CTX),) * n), sig, Q)
+    kappa = draw(scalars)
+    coeffs = [draw(scalars) if draw(st.booleans()) else kappa * drop for drop in drops]
+    return HomogeneousComponent(d, tuple(coeffs)), sig, Q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_components())
+def test_pivot_check_matches_the_pairwise_oracle(case):
+    assert _compat_outcome(_check_compat, *case) == _compat_outcome(pairwise_compat, *case)
+
+
+def test_pivot_check_edge_cases():
+    Q = matrix_from_upper(CTX, 3, {(0, 1): U("q"), (0, 2): U("p"), (1, 2): U("r")})
+    d = (1, 0, 1)
+    cocycle = [qrs(Q, d, j)[0] for j in range(3)]
+    one, two = FieldElement.one(CTX), S("2")
+
+    def drops_of(lambdas):
+        zero = HomogeneousComponent(d, (S("0"),) * 3)
+        return pairwise_compat(zero, ToricAutomorphism(CTX, lambdas), Q)
+
+    def outcomes(lambdas, coeffs):
+        case = (HomogeneousComponent(d, tuple(coeffs)), ToricAutomorphism(CTX, lambdas), Q)
+        got = _compat_outcome(_check_compat, *case)
+        assert got == _compat_outcome(pairwise_compat, *case)
+        return got
+
+    # every drop zero: any coefficients pass
+    assert outcomes(cocycle, [one, two, S("q")]) == ["0", "0", "0"]
+    # a zero first drop makes index 1 the pivot; a_0 != 0 fails the pair (0, 1)
+    lambdas = [cocycle[0], U("l1"), U("q^2")]
+    assert outcomes(lambdas, [one, S("0"), S("0")]).startswith(
+        "coefficient identity fails for pair (0, 1)"
+    )
+    drops = drops_of(lambdas)
+    assert outcomes(lambdas, [S("0"), drops[1], drops[2]])[0] == "0"
+    # a_2 off by a factor 2 fails (0, 2) and (1, 2), which does not contain the
+    # pivot 0; the first failing pair always contains it
+    lambdas = [U("l1"), U("l1^2"), U("q^2")]
+    drops = drops_of(lambdas)
+    assert outcomes(lambdas, [drops[0], drops[1], two * drops[2]]) == (
+        f"coefficient identity fails for pair (0, 2) at weight {d}"
+    )
+    assert outcomes(lambdas, [drops[0], two * drops[1], two * drops[2]]).startswith(
+        "coefficient identity fails for pair (0, 1)"
+    )
 
 
 # -- classification -----------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewtor import (
     CommutationMatrix,
@@ -22,10 +24,18 @@ from skewtor import (
     monomial_mul,
     qrs,
 )
-from skewtor.presentation import parse_element, parse_unit
-from skewtor.torus import exceptional_index, max_support_from_environment
+from skewtor import torus
+from skewtor.presentation import parse_element, parse_scalar, parse_unit
+from skewtor.render import render_element
+from skewtor.torus import elem_pow, exceptional_index, max_support_from_environment
 
-from helpers import is_exceptional, matrix_from_upper, matrix_of_ones, single_parameter
+from helpers import (
+    is_exceptional,
+    matrix_from_upper,
+    matrix_of_ones,
+    power_by_multiplication,
+    single_parameter,
+)
 
 CTX = ParameterContext(["q", "p", "r"])
 ONE = UnitMonomial.one(CTX)
@@ -320,3 +330,40 @@ def test_support_limit_guard(monkeypatch):
         with pytest.raises(InputError, match="SKEWTOR_MAX_DEGREE must be a positive"):
             with max_support_from_environment():
                 big + big
+
+
+# -- powers -------------------------------------------------------------------
+
+_ENTRIES = ["1", "-1", "2", "q", "p^2", "r^-1", "q*p", "1/2*r"]
+_POW_COEFFS = ["1", "-3/2", "q*p^-1", "1/(q - p)", "(q + 1)/(q - 1)", "(q - p)*(q + p)/(q*p - r)"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_term_power_matches_repeated_multiplication(data):
+    n = data.draw(st.integers(1, 3))
+    entries = st.sampled_from(_ENTRIES).map(U)
+    upper = {(i, j): data.draw(entries) for i in range(n) for j in range(i + 1, n)}
+    Q = matrix_from_upper(CTX, n, upper)
+    e = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+    c = parse_scalar(data.draw(st.sampled_from(_POW_COEFFS)), CTX)
+    k = data.draw(st.integers(-6, 6))
+    u = TorusElement.monomial(CTX, n, e, c)
+    got, want = elem_pow(Q, u, k), power_by_multiplication(Q, u, k)
+    assert got == want
+    names = ("x1", "x2", "x3")[:n]
+    assert render_element(got, names) == render_element(want, names)
+
+
+def test_deep_single_term_power_multiplies_nothing(monkeypatch):
+    calls = []
+    real = torus.elem_mul
+    monkeypatch.setattr(torus, "elem_mul", lambda *args: calls.append(1) or real(*args))
+    k = 200_000
+    u = E("2*q*x1*x2^-1")
+    up, down = elem_pow(QPLANE, u, k), elem_pow(QPLANE, u, -k)
+    assert not calls
+    # (x1 x2^-1)^2 = q x1^2 x2^-2, so u^k = 2^k q^(k + k(k-1)/2) x1^k x2^-k
+    coeff = FieldElement.from_unit(UnitMonomial(CTX, 2**k, (k * (k + 1) // 2, 0, 0)))
+    assert up == TorusElement.monomial(CTX, 2, (k, -k), coeff)
+    assert real(QPLANE, up, down) == TorusElement.one(CTX, 2)

@@ -21,6 +21,7 @@ from .orechain import TorusEmbedding, WeylWitness, run_all
 from .presentation import StandaloneBlock, load_presentation, parse_element
 from .render import render_element, render_exponents
 from .report import build_report, component_dict, describe_component, to_json, to_text
+from .scalars import max_support_from_environment
 from .skewder import (
     SkewDerivation,
     apply_auto,
@@ -29,7 +30,6 @@ from .skewder import (
     extend_derivation,
     validate_derivation,
 )
-from .torus import max_support_from_environment
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -31,7 +31,13 @@ from .errors import (
 )
 from .exprs import Expr, evaluate
 from .ore import OreElement
-from .scalars import FieldElement, ParameterContext, UnitMonomial, um_prod
+from .scalars import (
+    FieldElement,
+    ParameterContext,
+    UnitMonomial,
+    max_support_from_environment,
+    um_prod,
+)
 from .skewder import (
     ComponentReport,
     HomogeneousComponent,
@@ -54,7 +60,6 @@ from .torus import (
     elem_pow,
     elem_scale,
     indicator,
-    max_support_from_environment,
     membership,
     monomial_inverse,
 )

@@ -36,14 +36,53 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DivisionByZero, UnknownIdentifier
+from .errors import DivisionByZero, InputError, LimitExceeded, UnknownIdentifier
 
 Exponents = tuple[int, ...]
+
+_DEFAULT_MAX_SUPPORT = 100_000
+_max_support: ContextVar[int] = ContextVar("max_support", default=_DEFAULT_MAX_SUPPORT)
+
+
+@contextmanager
+def max_support_from_environment() -> Iterator[None]:
+    """Parse ``SKEWTOR_MAX_DEGREE`` once and cap, inside the block, every
+    size that ``enforce_cap`` is given; outside any such block the cap is the
+    default.
+
+    A value that is not a positive integer raises ``InputError`` on entry.
+    """
+    raw = os.environ.get("SKEWTOR_MAX_DEGREE", "")
+    cap = _DEFAULT_MAX_SUPPORT
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise InputError(f"SKEWTOR_MAX_DEGREE must be a positive integer, got {raw!r}")
+    token = _max_support.set(cap)
+    try:
+        yield
+    finally:
+        _max_support.reset(token)
+
+
+def enforce_cap(size: int, what: str) -> None:
+    """Raise ``LimitExceeded`` when ``size`` (described by ``what``) is above
+    the cap: the support of a sum or product, or the length of a loop or list
+    that a runaway exponent would make."""
+    cap = _max_support.get()
+    if size > cap:
+        raise LimitExceeded(f"{what} {size} exceeds SKEWTOR_MAX_DEGREE={cap}")
 
 
 class ParameterContext:
@@ -481,6 +520,7 @@ def _univariate_reduce(
     def to_coeffs(p: LaurentPoly) -> tuple[list[Fraction], int]:
         lo = min(e[var] for e in p.terms)
         hi = max(e[var] for e in p.terms)
+        enforce_cap(hi - lo + 1, "one-parameter exponent span")
         out = [Fraction(0)] * (hi - lo + 1)
         for e, c in p.terms.items():
             out[e[var] - lo] = c

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import Inconsistent, InputError, NotADerivation, NotValidated
-from .scalars import FieldElement, LaurentPoly, ParameterContext, UnitMonomial, um_prod
+from .scalars import (
+    FieldElement,
+    LaurentPoly,
+    ParameterContext,
+    UnitMonomial,
+    enforce_cap,
+    um_prod,
+)
 from .torus import (
     CommutationMatrix,
     ExponentVec,
@@ -127,24 +134,21 @@ def validate_derivation(d: SkewDerivation) -> None:
     Raises ``NotADerivation`` naming the first failing pair (i, j), with the
     two differing sides as ``lhs`` and ``rhs``; on success marks the
     derivation validated.  Together with the inverse-generator rule this pins
-    down a well-defined map on the whole torus.
+    down a well-defined map on the whole torus.  The generators and the
+    eigenvalues as field elements are built once, not once per pair.
     """
     Q, sig = d.Q, d.sigma
     ctx, n = Q.ctx, Q.n
+    xs = [TorusElement.generator(ctx, n, i) for i in range(n)]
+    lams = [FieldElement.from_unit(lam) for lam in sig.lambdas]
     for i in range(n):
+        xi, lam_i, im_i = xs[i], lams[i], d.images[i]
         for j in range(i + 1, n):
-            xi = TorusElement.generator(ctx, n, i)
-            xj = TorusElement.generator(ctx, n, j)
-            lam_i = FieldElement.from_unit(sig.lambdas[i])
-            lhs = elem_scale(lam_i, elem_mul(Q, xi, d.images[j])) + elem_mul(
-                Q, d.images[i], xj
-            )
-            lam_j = FieldElement.from_unit(sig.lambdas[j])
+            xj, im_j = xs[j], d.images[j]
+            lhs = elem_scale(lam_i, elem_mul(Q, xi, im_j)) + elem_mul(Q, im_i, xj)
             qij = FieldElement.from_unit(Q.entry(i, j))
             rhs = elem_scale(
-                qij,
-                elem_scale(lam_j, elem_mul(Q, xj, d.images[i]))
-                + elem_mul(Q, d.images[j], xi),
+                qij, elem_scale(lams[j], elem_mul(Q, xj, im_i)) + elem_mul(Q, im_j, xi)
             )
             if lhs != rhs:
                 raise NotADerivation(
@@ -158,12 +162,20 @@ def validate_derivation(d: SkewDerivation) -> None:
 
 def _bracket(chi: UnitMonomial, m: int) -> FieldElement:
     """``[m]_chi``: ``1 + chi + ... + chi^(m-1)`` for m > 0 and
-    ``-(chi^-1 + ... + chi^m)`` for m < 0."""
+    ``-(chi^-1 + ... + chi^m)`` for m < 0; ``[m]_1 = m``.
+
+    Any other chi sums |m| powers, so an |m| above the cap raises
+    ``LimitExceeded`` before the loop starts.
+    """
+    ctx = chi.ctx
+    if chi == UnitMonomial.one(ctx):
+        return FieldElement.rational(ctx, m)
+    enforce_cap(abs(m), "q-bracket length")
     terms = {}
     for k in range(m) if m > 0 else range(m, 0):
         p = chi.pow(k)
         terms[p.exps] = terms.get(p.exps, 0) + (p.coeff if m > 0 else -p.coeff)
-    return FieldElement(LaurentPoly(chi.ctx, terms), LaurentPoly.one(chi.ctx))
+    return FieldElement(LaurentPoly(ctx, terms), LaurentPoly.one(ctx))
 
 
 def extend_derivation(d: SkewDerivation, u: TorusElement) -> TorusElement:

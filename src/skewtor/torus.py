@@ -10,15 +10,12 @@ are nonnegative at every non-inverted index.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import IndexOutOfRange, InputError, LimitExceeded
-from .scalars import FieldElement, ParameterContext, UnitMonomial, um_prod
+from .errors import IndexOutOfRange, InputError
+from .scalars import FieldElement, ParameterContext, UnitMonomial, enforce_cap, um_prod
 
 ExponentVec = tuple[int, ...]
 
@@ -27,41 +24,6 @@ def indicator(n: int, J: Iterable[int]) -> ExponentVec:
     """The exponent vector with 1 at every index in J and 0 elsewhere."""
     J = frozenset(J)
     return tuple(1 if i in J else 0 for i in range(n))
-
-
-_DEFAULT_MAX_SUPPORT = 100_000
-_max_support: ContextVar[int] = ContextVar("max_support", default=_DEFAULT_MAX_SUPPORT)
-
-
-@contextmanager
-def max_support_from_environment() -> Iterator[None]:
-    """Parse ``SKEWTOR_MAX_DEGREE`` once and cap every sum and product made
-    inside the block by it; outside any such block the cap is the default.
-
-    A value that is not a positive integer raises ``InputError`` on entry.
-    """
-    raw = os.environ.get("SKEWTOR_MAX_DEGREE", "")
-    cap = _DEFAULT_MAX_SUPPORT
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise InputError(f"SKEWTOR_MAX_DEGREE must be a positive integer, got {raw!r}")
-    token = _max_support.set(cap)
-    try:
-        yield
-    finally:
-        _max_support.reset(token)
-
-
-def _guard(size: int) -> None:
-    cap = _max_support.get()
-    if size > cap:
-        raise LimitExceeded(
-            f"element support size {size} exceeds SKEWTOR_MAX_DEGREE={cap}"
-        )
 
 
 class CommutationMatrix:
@@ -89,14 +51,30 @@ class CommutationMatrix:
     def entry(self, i: int, j: int) -> UnitMonomial:
         return self.entries[i][j]
 
+    @classmethod
+    def _trusted(
+        cls, ctx: ParameterContext, entries: tuple[tuple[UnitMonomial, ...], ...]
+    ) -> CommutationMatrix:
+        """Wrap entries known to form an antisymmetric matrix; they are not
+        checked again."""
+        Q = object.__new__(cls)
+        Q.ctx, Q.n, Q.entries = ctx, len(entries), entries
+        return Q
+
     def append_row(self, row: Sequence[UnitMonomial]) -> CommutationMatrix:
-        """Extend by one generator whose commutation scalars are ``row``."""
+        """Extend by one generator whose commutation scalars are ``row``.
+
+        The earlier entries were checked when this matrix was built, and the
+        new column holds the inverses of ``row``, so the result is
+        antisymmetric by construction: O(n) work, not O(n^2).
+        """
         if len(row) != self.n:
             raise InputError("appended row has wrong length")
-        one = UnitMonomial.one(self.ctx)
-        new = [list(r) + [row[i].inv()] for i, r in enumerate(self.entries)]
-        new.append(list(row) + [one])
-        return CommutationMatrix(self.ctx, new)
+        row = tuple(row)
+        entries = tuple(r + (u.inv(),) for r, u in zip(self.entries, row))
+        return CommutationMatrix._trusted(
+            self.ctx, entries + (row + (UnitMonomial.one(self.ctx),),)
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CommutationMatrix) and self.entries == other.entries
@@ -212,7 +190,7 @@ class TorusElement:
                 out.pop(e, None)
             else:
                 out[e] = s
-        _guard(len(out))
+        enforce_cap(len(out), "element support size")
         return TorusElement(self.ctx, self.n, out)
 
     def __neg__(self) -> TorusElement:
@@ -269,7 +247,7 @@ def elem_mul(Q: CommutationMatrix, u: TorusElement, v: TorusElement) -> TorusEle
                 out.pop(e, None)
             else:
                 out[e] = s
-    _guard(len(out))
+    enforce_cap(len(out), "element support size")
     return TorusElement(u.ctx, u.n, out)
 
 

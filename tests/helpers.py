@@ -163,6 +163,35 @@ def inner_derivation(
     return SkewDerivation.trusted(Q, sig, images)
 
 
+def validation_oracle(
+    d: SkewDerivation,
+) -> tuple[tuple[int, int], TorusElement, TorusElement] | None:
+    """The first pair (i, j), in row-major order, whose relation
+    ``x_i x_j = q_ij x_j x_i`` the images violate, with the two sides, or
+    None when every pair holds.  Every generator and eigenvalue is rebuilt
+    for each pair, as ``validate_derivation`` did before it built them once."""
+    Q, sig = d.Q, d.sigma
+    ctx, n = Q.ctx, Q.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            xi = TorusElement.generator(ctx, n, i)
+            xj = TorusElement.generator(ctx, n, j)
+            lam_i = FieldElement.from_unit(sig.lambdas[i])
+            lhs = elem_scale(lam_i, elem_mul(Q, xi, d.images[j])) + elem_mul(
+                Q, d.images[i], xj
+            )
+            lam_j = FieldElement.from_unit(sig.lambdas[j])
+            qij = FieldElement.from_unit(Q.entry(i, j))
+            rhs = elem_scale(
+                qij,
+                elem_scale(lam_j, elem_mul(Q, xj, d.images[i]))
+                + elem_mul(Q, d.images[j], xi),
+            )
+            if lhs != rhs:
+                return (i, j), lhs, rhs
+    return None
+
+
 def zero_derivation(Q: CommutationMatrix, sigma: ToricAutomorphism) -> SkewDerivation:
     z = TorusElement.zero(Q.ctx, Q.n)
     d = SkewDerivation(Q, sigma, (z,) * Q.n)

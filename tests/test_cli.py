@@ -471,6 +471,30 @@ def test_deep_generator_power_in_a_delta_entry(tmp_path, capsys):
     assert "u = x^-1000000*y" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "sigma, delta, cap, what",
+    [
+        # [m]_chi for chi != 1 is a sum of |m| powers; chi = 1 is m in one step
+        ("q", "x^99999999999999999999", None, "q-bracket length"),
+        ("2", "x^99999999999999999999", None, "q-bracket length"),
+        ("q", "x^1000", "100", "q-bracket length 999 "),
+        # gcd cancellation is dense in the one parameter's exponent span
+        ("q^99999999999999999999", "x", None, "one-parameter exponent span"),
+        ("q^1000", "x", "100", "one-parameter exponent span 1001 "),
+    ],
+)
+def test_runaway_exponents_are_input_errors(tmp_path, capsys, monkeypatch, sigma, delta, cap, what):
+    if cap is not None:
+        monkeypatch.setenv("SKEWTOR_MAX_DEGREE", cap)
+    f = tmp_path / "huge.json"
+    stages = [{"name": "x"}, {"name": "y", "sigma": [sigma], "delta": [delta]}]
+    f.write_text(json.dumps({"parameters": ["q"], "stages": stages}), encoding="utf-8")
+    code, out, err = run_cli(["run", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: stage 2 ('y'): " + what)
+    assert f"exceeds SKEWTOR_MAX_DEGREE={cap or 100000}" in err
+
+
 def test_unexpected_exception_exits_2(monkeypatch, capsys):
     def boom(*args):
         raise ValueError("boom")

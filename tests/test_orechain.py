@@ -6,6 +6,7 @@ import random
 import pytest
 
 from skewtor import (
+    CommutationMatrix,
     FieldElement,
     InputError,
     NonEigenvector,
@@ -42,6 +43,7 @@ from skewtor.orechain import (
 from skewtor.presentation import (
     load_presentation,
     parse_element,
+    parse_presentation,
     parse_scalar,
     parse_unit,
 )
@@ -49,6 +51,7 @@ from skewtor.report import build_report, to_json
 from skewtor.torus import indicator
 
 from helpers import (
+    bench_families,
     coefficient,
     matrix_from_upper,
     random_auto,
@@ -762,3 +765,40 @@ def test_pure_inner_stage_without_z_scalar():
     table = dict(rep.normal_table)
     assert table["x"] == U("l1") and table["y"] == U("p")
     assert table["z"] is None
+
+
+def test_affine_stages_build_per_generator_data_once(monkeypatch):
+    # call counts, not timings: validation builds each generator once per
+    # stage, not once per pair, and appending a row re-checks no entry
+    from skewtor import orechain
+
+    generators, inits, seen = [], [], []
+    gen, init = TorusElement.generator, CommutationMatrix.__init__
+    monkeypatch.setattr(
+        TorusElement, "generator", classmethod(lambda cls, *a: generators.append(1) or gen(*a))
+    )
+    monkeypatch.setattr(
+        CommutationMatrix, "__init__", lambda self, *a: inits.append(1) or init(self, *a)
+    )
+
+    def validate(d):
+        before = len(generators)
+        validate_derivation(d)
+        seen.append((d.n, len(generators) - before))
+
+    append_row = CommutationMatrix.append_row
+
+    def append(Q, row):
+        before = len(inits)
+        out = append_row(Q, row)
+        assert len(inits) == before
+        return out
+
+    monkeypatch.setattr(orechain, "validate_derivation", validate)
+    monkeypatch.setattr(CommutationMatrix, "append_row", append)
+    n = 12
+    pres = parse_presentation(json.dumps(bench_families().affine(0, n).presentation))
+    out = run_all(pres.ctx, pres.stages)
+    assert isinstance(out, TorusEmbedding) and out.state.Q.n == n
+    assert len(seen) == n - 1
+    assert all(built <= k for k, built in seen)

@@ -51,6 +51,7 @@ from helpers import (
     random_matrix,
     sigma_made_inner,
     single_parameter,
+    validation_oracle,
     zero_derivation,
 )
 
@@ -286,6 +287,30 @@ def test_validate_violation_reported():
     assert violation.lhs == E("y^2")
     assert violation.rhs == E("q*y^2")
     assert not der._validated
+
+
+@settings(max_examples=300, deadline=None)
+@given(_derivations(), st.data())
+def test_validation_matches_the_per_pair_oracle(der, data):
+    # zeroing some images of a valid or invalid derivation mixes zero and
+    # nonzero images, and makes many valid ones fail at some pair
+    images = list(der.images)
+    for j in data.draw(st.sets(st.integers(0, der.n - 1))):
+        images[j] = TorusElement.zero(CTX, der.n)
+    fresh = SkewDerivation(der.Q, der.sigma, images)
+    want = validation_oracle(fresh)
+    if want is None:
+        assert validate_derivation(fresh) is None
+        assert fresh._validated
+        return
+    with pytest.raises(NotADerivation) as exc:
+        validate_derivation(fresh)
+    got = exc.value
+    assert (got.pair, got.lhs, got.rhs) == want
+    names = tuple(f"x{i}" for i in range(der.n))
+    assert render_element(got.lhs, names) == render_element(want[1], names)
+    assert render_element(got.rhs, names) == render_element(want[2], names)
+    assert not fresh._validated
 
 
 # -- q-skew test --------------------------------------------------------------

@@ -27,7 +27,8 @@ from skewtor import (
 from skewtor import torus
 from skewtor.presentation import parse_element, parse_scalar, parse_unit
 from skewtor.render import render_element
-from skewtor.torus import elem_pow, exceptional_index, max_support_from_environment
+from skewtor.scalars import max_support_from_environment
+from skewtor.torus import elem_pow, exceptional_index
 
 from helpers import (
     is_exceptional,
@@ -298,6 +299,33 @@ def test_matrix_validation():
         CommutationMatrix(CTX, [[U("q"), U("q")], [U("q^-1"), ONE]])
     with pytest.raises(InputError):
         CommutationMatrix(CTX, [[ONE, U("q")], [U("q"), ONE]])
+
+
+_ROW_ENTRIES = ["1", "-1", "2/3", "q", "p^2*r^-1", "-3/4*q*p", "5*r^-2", "1/2*q^-1*p"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_append_row_matches_the_checked_constructor(data):
+    # rows[k] holds q_ki for i < k; the full matrix is built independently
+    # and checked by __init__, the appended one is not checked again
+    entries = st.sampled_from(_ROW_ENTRIES).map(U)
+    n = data.draw(st.integers(1, 5))
+    rows = [[data.draw(entries) for _ in range(k)] for k in range(n)]
+    full = [[ONE] * n for _ in range(n)]
+    for k, row in enumerate(rows):
+        for i, u in enumerate(row):
+            full[k][i], full[i][k] = u, u.inv()
+    Q = CommutationMatrix(CTX, [])
+    for row in rows:
+        Q = Q.append_row(row)
+    want = CommutationMatrix(CTX, full)
+    assert Q == want and Q.n == n
+    # one row too long or, past n = 1, one too short for the n - 1 matrix
+    prev = CommutationMatrix(CTX, [r[:-1] for r in full[:-1]])
+    for row in [rows[-1] + [ONE]] + [rows[-1][:-1]] * (n > 1):
+        with pytest.raises(InputError, match="wrong length"):
+            prev.append_row(row)
 
 
 def test_degenerate_ambients():

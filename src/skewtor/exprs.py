@@ -8,172 +8,204 @@ Grammar (used for scalar entries and for noncommutative elements alike)::
 
 ``INT '/' INT`` yields an exact rational, and more generally ``/`` divides
 by a scalar factor.  Juxtaposition is not multiplication; ``*`` is required.
-Parsing produces a small AST; evaluation is parameterized over the value
-domain so the same trees serve field elements and torus elements.
+NAME is ``[A-Za-z_][A-Za-z_0-9]*``.  Parsing scans the text once with one
+regular expression and produces a small AST of value nodes, collecting the
+names it meets; evaluation is parameterized over the value domain so the
+same trees serve field elements and torus elements.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import ExprSyntaxError
+from .record import Record
 
-# ``bad`` catches any other non-blank character, so consecutive matches cover
-# the text up to trailing whitespace and a token's position is where the
-# whitespace before it starts
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
-)
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+# one match per token, as the groups (blank, int, name, op, bad): exactly one
+# of the last four is nonempty.  ``bad`` catches any other non-blank
+# character, so consecutive matches cover the text up to trailing whitespace
+# and a token's position is where the whitespace before it starts
+_TOKEN = re.compile(rf"(\s*)(?:(\d+)|({_NAME.pattern})|([-+*/^()])|(\S))")
+_EOF = ("", "", "", "", "")
 
 
-@dataclass(frozen=True)
-class Pow:
+def is_name(text: str) -> bool:
+    """True when ``text`` is a NAME of the grammar."""
+    return _NAME.fullmatch(text) is not None
+
+
+# the nodes spell out their equality and hashing, which ``evaluate``'s memo
+# runs on every lookup: twice as fast as the generic ones of ``Record``
+class Pow(Record):
     """A generator or parameter name raised to the integer power k."""
 
-    name: str
-    k: int
+    __slots__ = ("name", "k")
+
+    def __init__(self, name: str, k: int):
+        self.name = name
+        self.k = k
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Pow:
+            return NotImplemented
+        return self.name == other.name and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.k))
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """A product of factors combined left to right; each entry is
     (node, invert_flag), and an inverted factor divides."""
 
-    factors: tuple[tuple[object, bool], ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[object, bool], ...]):
+        self.factors = factors
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Term:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Record):
     """A signed sum: (sign, term) pairs, sign in {+1, -1}."""
 
-    terms: tuple[tuple[int, object], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, object], ...]):
+        self.terms = terms
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Sum:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
 
 # an integer literal is a bare Fraction leaf
 Expr = Fraction | Pow | Term | Sum
 
 
-def names_in(node: Expr) -> set[str]:
-    if isinstance(node, Pow):
-        return {node.name}
-    if isinstance(node, Term):
-        out: set[str] = set()
-        for f, _ in node.factors:
-            out |= names_in(f)
-        return out
-    if isinstance(node, Sum):
-        out = set()
-        for _, t in node.terms:
-            out |= names_in(t)
-        return out
-    return set()
-
-
 class _Parser:
+    """Recursive descent over the tokens of one scan of the text.
+
+    ``names`` collects every name the expression uses.  A token's position
+    is worked out only for an error message.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ExprSyntaxError("unexpected character", text, m.start())
-            self.tokens.append((kind, m[kind], m.start()))
-        self.tokens.append(("eof", "", len(text)))
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append(_EOF)
         self.i = 0
+        self.names: set[str] = set()
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+    def position(self, index: int) -> int:
+        """Where token ``index`` starts, with the whitespace before it."""
+        if index >= len(self.tokens) - 1:
+            return len(self.text)
+        return sum(len("".join(tok)) for tok in self.tokens[:index])
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def error(self, message: str, index: int) -> ExprSyntaxError:
+        """The error at token ``index``.  An unexpected character anywhere in
+        the text is reported instead, as no parse can get past it."""
+        for j, tok in enumerate(self.tokens):
+            if tok[4]:
+                message, index = "unexpected character", j
+                break
+        return ExprSyntaxError(message, self.text, self.position(index))
 
-    def expect_op(self, op: str) -> None:
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}", self.text, pos)
-
-    def integer(self, digits: str, pos: int) -> int:
+    def integer(self, digits: str, index: int) -> int:
         try:
             return int(digits)
         except ValueError:  # more digits than the interpreter converts
-            raise ExprSyntaxError("integer literal too long", self.text, pos) from None
+            raise self.error("integer literal too long", index) from None
 
     def parse(self) -> Expr:
         try:
             node = self.expr()
         except RecursionError:
-            raise ExprSyntaxError("expression nested too deeply", self.text, self.peek()[2]) from None
-        kind, _, pos = self.peek()
-        if kind != "eof":
-            raise ExprSyntaxError("trailing input", self.text, pos)
+            raise self.error("expression nested too deeply", self.i) from None
+        if self.i != len(self.tokens) - 1:
+            raise self.error("trailing input", self.i)
         return node
 
     def expr(self) -> Expr:
-        terms: list[tuple[int, Expr]] = []
+        tokens = self.tokens
         sign = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
+        if tokens[self.i][3] == "-":
+            self.i += 1
             sign = -1
-        terms.append((sign, self.term()))
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                terms.append((1 if val == "+" else -1, self.term()))
-            else:
-                break
-        if len(terms) == 1 and terms[0][0] == 1:
+        terms = [(sign, self.term())]
+        op = tokens[self.i][3]
+        while op == "+" or op == "-":
+            self.i += 1
+            terms.append((1 if op == "+" else -1, self.term()))
+            op = tokens[self.i][3]
+        if len(terms) == 1 and sign == 1:
             return terms[0][1]
         return Sum(tuple(terms))
 
     def term(self) -> Expr:
-        factors: list[tuple[Expr, bool]] = [(self.atom(), False)]
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                factors.append((self.atom(), val == "/"))
-            else:
-                break
-        if len(factors) == 1 and not factors[0][1]:
+        tokens = self.tokens
+        factors = [(self.atom(), False)]
+        op = tokens[self.i][3]
+        while op == "*" or op == "/":
+            self.i += 1
+            factors.append((self.atom(), op == "/"))
+            op = tokens[self.i][3]
+        if len(factors) == 1:
             return factors[0][0]
         return Term(tuple(factors))
 
     def atom(self) -> Expr:
-        kind, val, pos = self.next()
-        if kind == "int":
-            return Fraction(self.integer(val, pos))
-        if kind == "name":
-            k = 1
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "^":
-                self.next()
-                neg = False
-                kind3, val3, pos3 = self.next()
-                if kind3 == "op" and val3 == "-":
-                    neg = True
-                    kind3, val3, pos3 = self.next()
-                if kind3 != "int":
-                    raise ExprSyntaxError("expected integer exponent", self.text, pos3)
-                k = self.integer(val3, pos3)
-                if neg:
-                    k = -k
-            return Pow(val, k)
-        if kind == "op" and val == "(":
+        tokens, i = self.tokens, self.i
+        _, digits, name, op, _ = tokens[i]
+        self.i = i + 1
+        if digits:
+            return Fraction(self.integer(digits, i))
+        if name:
+            self.names.add(name)
+            if tokens[i + 1][3] != "^":
+                return Pow(name, 1)
+            _, digits, _, op, _ = tokens[i + 2]
+            i += 2
+            if op == "-":
+                i += 1
+                digits = tokens[i][1]
+            self.i = i + 1
+            if not digits:
+                raise self.error("expected integer exponent", i)
+            k = self.integer(digits, i)
+            return Pow(name, -k if op == "-" else k)
+        if op == "(":
             node = self.expr()
-            self.expect_op(")")
+            if tokens[self.i][3] != ")":
+                raise self.error("expected ')'", self.i)
+            self.i += 1
             return node
-        raise ExprSyntaxError("expected a number, name or '('", self.text, pos)
+        raise self.error("expected a number, name or '('", i)
 
 
 def parse_ast(text: str) -> Expr:
     return _Parser(text).parse()
+
+
+def parse_with_names(text: str) -> tuple[Expr, set[str]]:
+    """The tree of ``text`` and the set of names it uses."""
+    parser = _Parser(text)
+    return parser.parse(), parser.names
 
 
 def evaluate(
@@ -187,9 +219,10 @@ def evaluate(
     """Fold an AST in any domain with + and unary - operators and mul/div hooks.
 
     With a ``memo`` dict, the value of each ``Sum`` is stored under the node
-    and reused for every equal node (nodes are frozen, so equal subtrees are
-    equal keys).  The caller owns the dict: it must not outlive the hooks the
-    values were made with, and the values must not be mutated.
+    and reused for every equal node (nodes are values that do not change, so
+    equal subtrees are equal keys).  The caller owns the dict: it must not
+    outlive the hooks the values were made with, and the values must not be
+    mutated.
     """
     if isinstance(node, Fraction):
         return constant(node)

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .exprs import Expr, evaluate
 from .ore import OreElement
+from .presentation import StageSpec
 from .scalars import (
     FieldElement,
     ParameterContext,
@@ -63,21 +64,6 @@ from .torus import (
     membership,
     monomial_inverse,
 )
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """One stage of the presentation.
-
-    ``sigma_eigs[k]`` is the eigenvalue of the stage map on the k-th original
-    generator; ``delta_exprs[k]`` is the image of that generator, as an
-    expression tree over the original generator names (zero when absent).
-    """
-
-    name: str
-    sigma_eigs: tuple[UnitMonomial, ...]
-    delta_exprs: tuple[Expr | None, ...]
-    rename: str | None = None
 
 
 @dataclass(frozen=True)

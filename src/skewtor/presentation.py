@@ -9,31 +9,72 @@ Stage k must supply exactly k-1 ``sigma`` entries (unit-monomial scalars
 given as strings or integers, the action on each earlier original generator)
 and at most k-1 ``delta`` entries (element expressions in the original
 generator names; missing or null entries default to zero).
+
+A key the format does not define is an error, at the top level and in a
+stage, so a misspelt key is not silently ignored.  Every declared name (a
+parameter, a stage's ``name`` and ``rename``, a block generator) must be a
+NAME of the expression grammar.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, ExprSyntaxError, InputError, UnknownIdentifier
-from .exprs import Expr, evaluate, names_in, parse_ast
+from .exprs import Expr, evaluate, is_name, parse_with_names
+from .record import Record
 from .scalars import FieldElement, ParameterContext, UnitMonomial
 from .skewder import SkewDerivation, ToricAutomorphism
 from .torus import CommutationMatrix, SelectiveSpace, TorusElement, elem_div, elem_mul
-from .orechain import StageSpec
+
+# the keys a file may use, at the top level and in each stage
+_FILE_KEYS = frozenset(
+    ("parameters", "stages", "generators", "matrix", "inverted", "lambda", "derivation")
+)
+_STAGE_KEYS = frozenset(("name", "sigma", "delta", "rename"))
 
 
-@dataclass(frozen=True)
-class StandaloneBlock:
+class StageSpec(Record):
+    """One stage of the presentation.
+
+    ``sigma_eigs[k]`` is the eigenvalue of the stage map on the k-th original
+    generator; ``delta_exprs[k]`` is the image of that generator, as an
+    expression tree over the original generator names (zero when absent).
+    """
+
+    __slots__ = ("name", "sigma_eigs", "delta_exprs", "rename")
+
+    def __init__(
+        self,
+        name: str,
+        sigma_eigs: tuple[UnitMonomial, ...],
+        delta_exprs: tuple[Expr | None, ...],
+        rename: str | None = None,
+    ):
+        self.name = name
+        self.sigma_eigs = sigma_eigs
+        self.delta_exprs = delta_exprs
+        self.rename = rename
+
+
+class StandaloneBlock(Record):
     """One selectively localized space, with a toric map and derivation
     images when the file declares them (for ``classify`` and ``eval``)."""
 
-    names: tuple[str, ...]
-    space: SelectiveSpace
-    sigma: ToricAutomorphism | None
-    images: tuple[TorusElement, ...] | None
+    __slots__ = ("names", "space", "sigma", "images")
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        space: SelectiveSpace,
+        sigma: ToricAutomorphism | None,
+        images: tuple[TorusElement, ...] | None,
+    ):
+        self.names = names
+        self.space = space
+        self.sigma = sigma
+        self.images = images
 
     def derivation(self) -> SkewDerivation:
         if self.sigma is None or self.images is None:
@@ -42,18 +83,25 @@ class StandaloneBlock:
         return d
 
 
-@dataclass(frozen=True)
-class PresentationFile:
+class PresentationFile(Record):
     """A parsed file: its parameters, stages and standalone block."""
 
-    ctx: ParameterContext
-    stages: tuple[StageSpec, ...] | None
-    block: StandaloneBlock | None
+    __slots__ = ("ctx", "stages", "block")
+
+    def __init__(
+        self,
+        ctx: ParameterContext,
+        stages: tuple[StageSpec, ...] | None,
+        block: StandaloneBlock | None,
+    ):
+        self.ctx = ctx
+        self.stages = stages
+        self.block = block
 
 
 def parse_scalar(text: str, ctx: ParameterContext) -> FieldElement:
-    tree = parse_ast(text)
-    unknown = names_in(tree) - set(ctx.names)
+    tree, used = parse_with_names(text)
+    unknown = used - set(ctx.names)
     if unknown:
         raise UnknownIdentifier(f"unknown parameter(s) {sorted(unknown)} in {text!r}")
     return evaluate(
@@ -114,9 +162,9 @@ def parse_element(
     names: tuple[str, ...],
 ) -> TorusElement:
     """Parse a noncommutative expression and normalize it to PBW form."""
-    tree = parse_ast(text)
+    tree, used = parse_with_names(text)
     index = {name: i for i, name in enumerate(names)}
-    unknown = names_in(tree) - set(names) - set(ctx.names)
+    unknown = used - set(names) - set(ctx.names)
     if unknown:
         raise UnknownIdentifier(f"unknown identifier(s) {sorted(unknown)} in {text!r}")
     n = Q.n
@@ -139,16 +187,32 @@ def _require(cond: bool, msg: str) -> None:
         raise InputError(msg)
 
 
+def _require_known_keys(raw: dict, known: frozenset[str], prefix: str) -> None:
+    for key in raw:
+        if key not in known:
+            raise InputError(f"{prefix}unknown key {key!r}")
+
+
+def _require_name(name: str, where: str) -> None:
+    """A declared name must be a NAME of the expression grammar, or no
+    expression could refer to it."""
+    if not is_name(name):
+        raise InputError(f"{where}: {name!r} is not an identifier")
+
+
 def _parse_stage(
     raw: dict, k: int, ctx: ParameterContext, read: _UnitReader, earlier: list[str]
 ) -> StageSpec:
     where = f"stages[{k - 1}]"
     _require(isinstance(raw, dict), f"{where}: expected an object")
+    _require_known_keys(raw, _STAGE_KEYS, f"{where}: ")
     name = raw.get("name")
     _require(isinstance(name, str) and name != "", f"{where}: missing generator name")
+    _require_name(name, f"{where}: name")
     rename = raw.get("rename")
     if rename is not None:
         _require(isinstance(rename, str) and rename != "", f"{where}: bad rename")
+        _require_name(rename, f"{where}: rename")
     sigma_raw = raw.get("sigma", [])
     _require(isinstance(sigma_raw, list), f"{where}: sigma must be a list")
     if len(sigma_raw) != k - 1:
@@ -169,11 +233,11 @@ def _parse_stage(
             continue
         _require(isinstance(entry, str), f"{where}: delta[{idx}] must be a string")
         try:
-            tree = parse_ast(entry)
+            tree, used = parse_with_names(entry)
         except ExprSyntaxError as exc:
             exc.args = (f"{where}: delta[{idx}]: {exc}",)
             raise
-        unknown = names_in(tree) - set(earlier) - set(ctx.names)
+        unknown = used - set(earlier) - set(ctx.names)
         if unknown:
             raise UnknownIdentifier(
                 f"{where}: delta[{idx}] references unknown name(s) {sorted(unknown)}"
@@ -206,6 +270,8 @@ def _parse_block(raw: dict, ctx: ParameterContext, read: _UnitReader) -> Standal
         "generators must be a list of names",
     )
     names = tuple(names)
+    for i, name in enumerate(names):
+        _require_name(name, f"generators[{i}]")
     _require(len(set(names)) == len(names), "generator names must be distinct")
     _require(not set(names) & set(ctx.names), "generator names collide with parameters")
     matrix = raw.get("matrix")
@@ -261,12 +327,15 @@ def parse_presentation(text: str) -> PresentationFile:
     except RecursionError:
         raise InputError("not valid JSON: nested too deeply") from None
     _require(isinstance(raw, dict), "top level must be an object")
+    _require_known_keys(raw, _FILE_KEYS, "")
 
     params = raw.get("parameters", [])
     _require(
         isinstance(params, list) and all(isinstance(p, str) for p in params),
         "parameters must be a list of names",
     )
+    for i, param in enumerate(params):
+        _require_name(param, f"parameters[{i}]")
     _require(len(set(params)) == len(params), "parameter names must be distinct")
     ctx = ParameterContext(params)
     read = _UnitReader(ctx)

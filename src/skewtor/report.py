@@ -36,7 +36,8 @@ def provenance_equations(state: AlgebraState) -> list[str]:
                 rhs = head
             else:
                 t_str = render_element(prov.t, state.names)
-                if len(prov.t.terms) > 1:
+                # a leading minus after " - " would not parse back
+                if len(prov.t.terms) > 1 or t_str.startswith("-"):
                     t_str = f"({t_str})"
                 rhs = f"{head} - {t_str}"
             out.append(f"{state.names[i]} = {rhs}")

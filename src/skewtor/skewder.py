@@ -25,10 +25,10 @@ automorphism is inner on the torus: it is conjugation by ``x^-d``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import Inconsistent, InputError, NotADerivation, NotValidated
+from .record import Record
 from .scalars import (
     FieldElement,
     LaurentPoly,
@@ -230,12 +230,14 @@ def extend_derivation(d: SkewDerivation, u: TorusElement) -> TorusElement:
     return result
 
 
-@dataclass(frozen=True)
-class HomogeneousComponent:
+class HomogeneousComponent(Record):
     """The weight-d part: generator j maps to coeffs[j] * x^(d + e_j)."""
 
-    weight: ExponentVec
-    coeffs: tuple[FieldElement, ...]
+    __slots__ = ("weight", "coeffs")
+
+    def __init__(self, weight: ExponentVec, coeffs: tuple[FieldElement, ...]):
+        self.weight = weight
+        self.coeffs = coeffs
 
 
 def decompose_homogeneous(d: SkewDerivation) -> list[HomogeneousComponent]:
@@ -257,8 +259,7 @@ def decompose_homogeneous(d: SkewDerivation) -> list[HomogeneousComponent]:
 # -- classification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(Record):
     """The verdict on one homogeneous component.
 
     ``kind`` is "inner", "locally_inner" (at generator ``j``) or
@@ -266,10 +267,15 @@ class ComponentReport:
     locally inner component, and None for one conjugate to a derivation.
     """
 
-    weight: ExponentVec
-    kind: str
-    j: int | None
-    inducer: TorusElement | None
+    __slots__ = ("weight", "kind", "j", "inducer")
+
+    def __init__(
+        self, weight: ExponentVec, kind: str, j: int | None, inducer: TorusElement | None
+    ):
+        self.weight = weight
+        self.kind = kind
+        self.j = j
+        self.inducer = inducer
 
 
 def _check_compat(

@@ -10,11 +10,11 @@ are nonnegative at every non-inverted index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import IndexOutOfRange, InputError
+from .errors import DivisionByZero, IndexOutOfRange, InputError
+from .record import Record
 from .scalars import FieldElement, ParameterContext, UnitMonomial, enforce_cap, um_prod
 
 ExponentVec = tuple[int, ...]
@@ -83,16 +83,15 @@ class CommutationMatrix:
         return f"CommutationMatrix(n={self.n})"
 
 
-@dataclass(frozen=True)
-class SelectiveSpace:
+class SelectiveSpace(Record):
     """A quantum affine space with a chosen subset of generators inverted."""
 
-    Q: CommutationMatrix
-    inverted: frozenset[int]
+    __slots__ = ("Q", "inverted")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inverted", frozenset(self.inverted))
-        if any(i < 0 or i >= self.Q.n for i in self.inverted):
+    def __init__(self, Q: CommutationMatrix, inverted: Iterable[int]):
+        self.Q = Q
+        self.inverted = frozenset(inverted)
+        if any(i < 0 or i >= Q.n for i in self.inverted):
             raise IndexOutOfRange("inverted index out of range")
 
     @property
@@ -268,6 +267,8 @@ def elem_inv(Q: CommutationMatrix, u: TorusElement) -> TorusElement:
 
 def elem_div(Q: CommutationMatrix, a: TorusElement, b: TorusElement) -> TorusElement:
     """``a * b^-1`` for a single-term ``b``; a scalar ``b`` only rescales ``a``."""
+    if b.is_zero():
+        raise DivisionByZero("division by zero")
     st = b.single_term()
     if st is None:
         raise InputError("division by a sum is not defined here")

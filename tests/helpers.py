@@ -386,6 +386,128 @@ def tokenize_oracle(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+class _OracleParser:
+    """The expression parser as it was before it scanned the text once:
+    (kind, text, position) tokens from ``tokenize_oracle``, read through
+    ``peek`` and ``next``."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize_oracle(text)
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str) -> None:
+        kind, val, pos = self.next()
+        if kind != "op" or val != op:
+            raise ExprSyntaxError(f"expected {op!r}", self.text, pos)
+
+    def integer(self, digits: str, pos: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than the interpreter converts
+            raise ExprSyntaxError("integer literal too long", self.text, pos) from None
+
+    def parse(self) -> Expr:
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise ExprSyntaxError("expression nested too deeply", self.text, self.peek()[2]) from None
+        kind, _, pos = self.peek()
+        if kind != "eof":
+            raise ExprSyntaxError("trailing input", self.text, pos)
+        return node
+
+    def expr(self) -> Expr:
+        terms: list[tuple[int, Expr]] = []
+        sign = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            sign = -1
+        terms.append((sign, self.term()))
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                terms.append((1 if val == "+" else -1, self.term()))
+            else:
+                break
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        return Sum(tuple(terms))
+
+    def term(self) -> Expr:
+        factors: list[tuple[Expr, bool]] = [(self.atom(), False)]
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "*/":
+                self.next()
+                factors.append((self.atom(), val == "/"))
+            else:
+                break
+        if len(factors) == 1 and not factors[0][1]:
+            return factors[0][0]
+        return Term(tuple(factors))
+
+    def atom(self) -> Expr:
+        kind, val, pos = self.next()
+        if kind == "int":
+            return Fraction(self.integer(val, pos))
+        if kind == "name":
+            k = 1
+            kind2, val2, _ = self.peek()
+            if kind2 == "op" and val2 == "^":
+                self.next()
+                neg = False
+                kind3, val3, pos3 = self.next()
+                if kind3 == "op" and val3 == "-":
+                    neg = True
+                    kind3, val3, pos3 = self.next()
+                if kind3 != "int":
+                    raise ExprSyntaxError("expected integer exponent", self.text, pos3)
+                k = self.integer(val3, pos3)
+                if neg:
+                    k = -k
+            return Pow(val, k)
+        if kind == "op" and val == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise ExprSyntaxError("expected a number, name or '('", self.text, pos)
+
+
+def names_in(node: Expr) -> set[str]:
+    """The names of a tree, found by walking it."""
+    if isinstance(node, Pow):
+        return {node.name}
+    if isinstance(node, Term):
+        out: set[str] = set()
+        for f, _ in node.factors:
+            out |= names_in(f)
+        return out
+    if isinstance(node, Sum):
+        out = set()
+        for _, t in node.terms:
+            out |= names_in(t)
+        return out
+    return set()
+
+
+def parse_oracle(text: str) -> tuple[Expr, set[str]]:
+    """The tree of ``text`` and its names, from the parser and the tree walk
+    the engine used before it collected names while parsing one scan."""
+    tree = _OracleParser(text).parse()
+    return tree, names_in(tree)
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 

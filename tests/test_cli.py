@@ -633,3 +633,58 @@ def test_each_distinct_scalar_entry_is_parsed_once(tmp_path, monkeypatch):
             assert spec.sigma_eigs == tuple(parse_unit(s, pres.ctx) for s in raw.get("sigma", []))
     assert counts[0] == (2, 36) and counts[2] == (3, 6)
     assert counts[1][0] < counts[1][1] == 1225
+
+
+# -- strict schema, names, division by zero, parseable provenance ------------------
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_with_stage({"name": "z", "sigma": ["q", "1"], "detla": ["x"]}), "stages[2]: unknown key 'detla'"),
+        ({"paramters": ["q"], "stages": STAGES}, "unknown key 'paramters'"),
+        ({**_with_block(), "derivaton": {"a": "b"}}, "unknown key 'derivaton'"),
+        ({"parameters": ["2"], "stages": [{"name": "x"}]}, "parameters[0]: '2' is not an identifier"),
+        (_with_stage({"name": "a b", "sigma": ["q", "1"]}), "stages[2]: name: 'a b' is not an identifier"),
+        (_with_stage({"name": "z", "sigma": ["q", "1"], "rename": "z'"}),
+         "stages[2]: rename: \"z'\" is not an identifier"),
+        ({"parameters": ["q"], **BLOCK, "generators": ["a", "é"]},
+         "generators[1]: 'é' is not an identifier"),
+        (_with_stage({"name": "z", "sigma": ["q", "1"], "delta": ["1/(q - q)"]}),
+         "stage 3 ('z'): division by zero"),
+    ],
+    ids=["stage-key", "file-key", "block-key", "parameter", "name", "rename", "generator", "zero"],
+)
+def test_input_errors_name_their_entry(tmp_path, capsys, doc, message):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["check", str(f)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_dividing_by_zero_in_eval_is_named(capsys):
+    code, out, err = run_cli(["eval", f"{P}/classify_uqsl2.json", "--expr", "E/(K - K)"], capsys)
+    assert (code, out, err) == (1, "", "error: division by zero\n")
+
+
+def test_provenance_with_a_negative_t_parses_back(tmp_path, capsys):
+    from skewtor import CommutationMatrix, elem_mul, run_all
+    from skewtor.presentation import parse_element, parse_unit
+
+    # the quantum Weyl algebra y*x = 2*x*y + 1: deleting its derivation
+    # subtracts t = -1, a single term that prints with a leading minus
+    doc = {"stages": [{"name": "x"}, {"name": "y", "sigma": ["2"], "delta": ["1"]}]}
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(["run", str(f), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["provenance"] == ["w2 = x*y - (-1)"]
+    rhs = json.loads(out)["provenance"][0].split(" = ")[1]
+
+    pres = parse_presentation(json.dumps(doc))
+    ctx = pres.ctx
+    t = run_all(ctx, pres.stages).state.provenance[1].t
+    half, one = parse_unit("1/2", ctx), parse_unit("1", ctx)
+    Q = CommutationMatrix(ctx, [[one, half], [half.inv(), one]])  # x*y = 1/2*y*x
+    x, y = (parse_element(name, ctx, Q, ("x", "y")) for name in ("x", "y"))
+    assert parse_element(rhs, ctx, Q, ("x", "y")) == elem_mul(Q, x, y) - t.extend_to(2)

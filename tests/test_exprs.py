@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bench_families, render_ast, single_parameter, tokenize_oracle
+from helpers import bench_families, parse_oracle, render_ast, single_parameter, tokenize_oracle
 from skewtor import (
     ExprSyntaxError,
     FieldElement,
@@ -18,7 +18,7 @@ from skewtor import (
     elem_mul,
 )
 from skewtor import exprs, orechain
-from skewtor.exprs import Sum, _Parser, evaluate, parse_ast
+from skewtor.exprs import Sum, _Parser, evaluate, parse_ast, parse_with_names
 from skewtor.presentation import parse_element, parse_presentation, parse_scalar, parse_unit
 from skewtor.render import render_element, render_scalar, render_unit
 from skewtor.torus import elem_div
@@ -159,11 +159,66 @@ def _tokens_or_message(tokenize, text):
         return str(exc)
 
 
+_KINDS = ("int", "name", "op")
+
+
+def _scanned_tokens(text):
+    """The parser's one-scan tokens as (kind, text, position) triples; an
+    unexpected character raises the parser's own error."""
+    parser = _Parser(text)
+    tokens = parser.tokens
+    if any(tok[4] for tok in tokens):
+        raise parser.error("not reached", 0)
+    out = []
+    for i, tok in enumerate(tokens[:-1]):
+        (kind, value), = [(k, v) for k, v in zip(_KINDS, tok[1:4]) if v]
+        out.append((kind, value, parser.position(i)))
+    out.append(("eof", "", parser.position(len(tokens) - 1)))
+    return out
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join) | st.text(max_size=12))
 def test_one_scan_tokenizer_matches_the_per_match_oracle(text):
     expected = _tokens_or_message(tokenize_oracle, text)
-    assert _tokens_or_message(lambda t: _Parser(t).tokens, text) == expected
+    assert _tokens_or_message(_scanned_tokens, text) == expected
+
+
+# grammar-shaped text: mostly valid expressions with random blanks, and at
+# times a piece that breaks them
+_blank = st.sampled_from(["", "", " ", "\t", "\u2003"])
+_atoms = st.one_of(
+    st.sampled_from(["x", "x1", "q", "_a", "Ab9", "0", "7", "42", "\u0663"]),
+    st.tuples(st.sampled_from(["x", "q"]), st.sampled_from(["", "-"]), st.sampled_from(["2", "10"]))
+    .map(lambda t: f"{t[0]}^{t[1]}{t[2]}"),
+)
+_shaped = st.recursive(
+    _atoms,
+    lambda kids: st.one_of(
+        st.tuples(kids, st.sampled_from("+-*/"), _blank, kids).map(
+            lambda t: f"{t[0]}{t[2]}{t[1]}{t[2]}{t[3]}"
+        ),
+        st.tuples(st.sampled_from(["", "-"]), kids).map(lambda t: f"{t[0]}({t[1]})"),
+    ),
+    max_leaves=8,
+)
+_broken = st.tuples(_shaped, st.integers(0, 40), st.sampled_from(_PIECES)).map(
+    lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
+)
+
+
+def _parse_or_message(parse, text):
+    try:
+        return parse(text)
+    except ExprSyntaxError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shaped | _broken | st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_one_scan_parser_matches_the_oracle(text):
+    # the same tree, the same names and the same error text, position included
+    assert _parse_or_message(parse_with_names, text) == _parse_or_message(parse_oracle, text)
 
 
 def test_unexpected_character_is_located_before_its_whitespace():

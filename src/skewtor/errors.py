@@ -16,12 +16,23 @@ class InputError(SkewtorError):
     """Malformed or inconsistent user input (exit code 1)."""
 
 
+# characters of the text quoted on each side of the caret
+_QUOTE = 40
+
+
 class ExprSyntaxError(InputError):
+    """A syntax error at position ``pos`` of ``text``.  The message quotes at
+    most ``_QUOTE`` characters on each side of the caret and marks a cut
+    with ``…``, so its length does not grow with the text."""
+
     def __init__(self, message: str, text: str = "", pos: int | None = None):
         self.text = text
         self.pos = pos
         if pos is not None:
-            message = f"{message} (at position {pos}: {text[:pos]!r} ^ {text[pos:]!r})"
+            before, after = text[:pos], text[pos:]
+            left = f"…{before[-_QUOTE:]!r}" if len(before) > _QUOTE else repr(before)
+            right = f"{after[:_QUOTE]!r}…" if len(after) > _QUOTE else repr(after)
+            message = f"{message} (at position {pos}: {left} ^ {right})"
         super().__init__(message)
 
 

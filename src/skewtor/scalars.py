@@ -141,6 +141,14 @@ class UnitMonomial:
             raise ValueError("exponent vector length does not match context")
 
     @classmethod
+    def _trusted(cls, ctx: ParameterContext, coeff: Fraction, exps: Exponents) -> UnitMonomial:
+        """Wrap a nonzero ``Fraction`` and an exponent tuple of the context's
+        length; they are not checked again."""
+        u = object.__new__(cls)
+        u.ctx, u.coeff, u.exps = ctx, coeff, exps
+        return u
+
+    @classmethod
     def one(cls, ctx: ParameterContext) -> UnitMonomial:
         return cls(ctx, 1)
 
@@ -422,6 +430,11 @@ class FieldElement:
         if len(self.num.terms) == 1 and self.den.is_one():
             return next(iter(self.num.terms.items()))
         return None
+
+    def times_unit(self, u: UnitMonomial) -> FieldElement:
+        """``self * u``: the same stored terms as ``self * u.to_field()``,
+        without building that element."""
+        return self._times_unit(u.exps, u.coeff)
 
     def _times_unit(self, exps: Exponents, c: Fraction) -> FieldElement:
         num = self.num.shift(exps).scale(c)

@@ -219,7 +219,7 @@ def extend_derivation(d: SkewDerivation, u: TorusElement) -> TorusElement:
                 mu1, f = monomial_mul(Q, head, v[:j] + (v[j] - 1 + m,) + v[j + 1 :])
                 mu2, f = monomial_mul(Q, f, tail)
                 unit = um_prod(ctx, ((lam_head, 1), (r, m - 1), (mu1, 1), (mu2, 1)))
-                term = b * FieldElement.from_unit(unit)
+                term = b.times_unit(unit)
                 s = de.get(f)
                 s = term if s is None else s + term
                 if s.is_zero():

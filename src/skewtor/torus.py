@@ -10,14 +10,17 @@ are nonnegative at every non-inverted index.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DivisionByZero, IndexOutOfRange, InputError
 from .record import Record
-from .scalars import FieldElement, ParameterContext, UnitMonomial, enforce_cap, um_prod
+from .scalars import FieldElement, ParameterContext, UnitMonomial, enforce_cap
 
 ExponentVec = tuple[int, ...]
+
+_ONE = Fraction(1)
 
 
 def indicator(n: int, J: Iterable[int]) -> ExponentVec:
@@ -26,10 +29,34 @@ def indicator(n: int, J: Iterable[int]) -> ExponentVec:
     return tuple(1 if i in J else 0 for i in range(n))
 
 
-class CommutationMatrix:
-    """A multiplicatively antisymmetric n x n matrix of unit monomials."""
+# one entry q_kl of the lower-triangle form: None when q_kl = 1, else the
+# nonzero (parameter index, exponent) pairs of q_kl and its coefficient, or
+# None for the coefficient 1
+LowerEntry = tuple[tuple[tuple[int, int], ...], Fraction | None] | None
 
-    __slots__ = ("ctx", "n", "entries")
+
+def _lower_entry(u: UnitMonomial) -> LowerEntry:
+    """``u`` as an entry of the lower-triangle form."""
+    pairs = tuple((i, e) for i, e in enumerate(u.exps) if e)
+    c = None if u.coeff == 1 else u.coeff
+    if not pairs and c is None:
+        return None
+    return pairs, c
+
+
+class CommutationMatrix:
+    """A multiplicatively antisymmetric n x n matrix of unit monomials.
+
+    ``entries``, the full matrix, is the source: ``__init__`` checks it.
+    ``lower`` is derived from it inside this class only: row k holds the
+    entries q_kl for l < k in the sparse form of ``LowerEntry``.
+    ``__init__`` builds every row from the checked entries and
+    ``append_row`` builds only the new one, from the same row it appends,
+    so the two forms cannot drift.  Monomial products and cocycles read
+    ``lower``.
+    """
+
+    __slots__ = ("ctx", "n", "entries", "lower")
 
     def __init__(self, ctx: ParameterContext, entries: Sequence[Sequence[UnitMonomial]]):
         self.ctx = ctx
@@ -47,18 +74,24 @@ class CommutationMatrix:
                         f"commutation matrix is not multiplicatively antisymmetric "
                         f"at ({i}, {j})"
                     )
+        self.lower = tuple(
+            tuple(map(_lower_entry, row[:k])) for k, row in enumerate(self.entries)
+        )
 
     def entry(self, i: int, j: int) -> UnitMonomial:
         return self.entries[i][j]
 
     @classmethod
     def _trusted(
-        cls, ctx: ParameterContext, entries: tuple[tuple[UnitMonomial, ...], ...]
+        cls,
+        ctx: ParameterContext,
+        entries: tuple[tuple[UnitMonomial, ...], ...],
+        lower: tuple[tuple[LowerEntry, ...], ...],
     ) -> CommutationMatrix:
-        """Wrap entries known to form an antisymmetric matrix; they are not
-        checked again."""
+        """Wrap entries known to form an antisymmetric matrix, and their
+        lower-triangle form; they are not checked again."""
         Q = object.__new__(cls)
-        Q.ctx, Q.n, Q.entries = ctx, len(entries), entries
+        Q.ctx, Q.n, Q.entries, Q.lower = ctx, len(entries), entries, lower
         return Q
 
     def append_row(self, row: Sequence[UnitMonomial]) -> CommutationMatrix:
@@ -66,14 +99,17 @@ class CommutationMatrix:
 
         The earlier entries were checked when this matrix was built, and the
         new column holds the inverses of ``row``, so the result is
-        antisymmetric by construction: O(n) work, not O(n^2).
+        antisymmetric by construction: O(n) work, not O(n^2).  The earlier
+        rows of ``lower`` are reused and ``row`` is the new one.
         """
         if len(row) != self.n:
             raise InputError("appended row has wrong length")
         row = tuple(row)
         entries = tuple(r + (u.inv(),) for r, u in zip(self.entries, row))
         return CommutationMatrix._trusted(
-            self.ctx, entries + (row + (UnitMonomial.one(self.ctx),),)
+            self.ctx,
+            entries + (row + (UnitMonomial.one(self.ctx),),),
+            self.lower + (tuple(map(_lower_entry, row)),),
         )
 
     def __eq__(self, other) -> bool:
@@ -212,19 +248,37 @@ class TorusElement:
 # -- operations depending on Q ------------------------------------------------
 
 
+def _cocycle(ctx: ParameterContext, factors: Iterable[tuple[LowerEntry, int]]) -> UnitMonomial:
+    """The product of ``q^m`` over the pairs ``(entry, m)`` of lower-triangle
+    entries: an entry None (q = 1) adds nothing, exponents are summed as
+    integers, and only a coefficient other than 1 is raised."""
+    coeff = _ONE
+    exps = [0] * len(ctx)
+    for entry, m in factors:
+        if entry is not None:
+            pairs, c = entry
+            for i, e in pairs:
+                exps[i] += m * e
+            if c is not None:
+                coeff *= c**m
+    return UnitMonomial._trusted(ctx, coeff, tuple(exps))
+
+
 def monomial_mul(
     Q: CommutationMatrix, a: ExponentVec, b: ExponentVec
 ) -> tuple[UnitMonomial, ExponentVec]:
-    """Reorder ``x^a * x^b`` to normal form: returns the scalar and ``a + b``."""
-    rows = Q.entries
-    powers = (
-        (rows[k][l], ak * bl)
-        for k, ak in enumerate(a)
-        if ak
-        for l, bl in enumerate(b[:k])
-        if bl
-    )
-    return um_prod(Q.ctx, powers), tuple(map(add, a, b))
+    """Reorder ``x^a * x^b`` to normal form: returns the scalar and ``a + b``.
+
+    The scalar is ``prod_{k > l} q_kl^(a_k b_l)``, read from the
+    lower-triangle form over the supports only: for each nonzero ``a_k``,
+    the entries ``q_kl`` with ``l < k`` at the nonzero ``b_l``.
+    """
+    lower = Q.lower
+    support = [(l, bl) for l, bl in enumerate(b) if bl]
+    factors = [
+        (lower[k][l], ak * bl) for k, ak in enumerate(a) if ak for l, bl in support if l < k
+    ]
+    return _cocycle(Q.ctx, factors), tuple(map(add, a, b))
 
 
 def monomial_inverse(Q: CommutationMatrix, exps: ExponentVec) -> TorusElement:
@@ -239,7 +293,7 @@ def elem_mul(Q: CommutationMatrix, u: TorusElement, v: TorusElement) -> TorusEle
     for ea, ca in u.terms.items():
         for eb, cb in v.terms.items():
             scalar, e = monomial_mul(Q, ea, eb)
-            c = ca * cb * FieldElement.from_unit(scalar)
+            c = (ca * cb).times_unit(scalar)
             s = out.get(e)
             s = c if s is None else s + c
             if s.is_zero():
@@ -312,9 +366,11 @@ def qrs(
     """
     if not 0 <= j < Q.n:
         raise IndexOutOfRange(f"generator index {j} out of range")
-    ctx, rows = Q.ctx, Q.entries
-    r = um_prod(ctx, ((rows[k][j], d[k]) for k in range(j + 1, Q.n)))
-    s = um_prod(ctx, zip(rows[j][:j], d))
+    lower = Q.lower
+    support = [(k, dk) for k, dk in enumerate(d) if dk]
+    # r_j(d) from column j below the diagonal, s_j(d) from row j
+    r = _cocycle(Q.ctx, ((lower[k][j], dk) for k, dk in support if k > j))
+    s = _cocycle(Q.ctx, ((lower[j][l], dl) for l, dl in support if l < j))
     return r * s.inv(), r, s
 
 
@@ -352,5 +408,5 @@ def apply_scaling(
     return TorusElement(
         u.ctx,
         u.n,
-        {e: c * FieldElement.from_unit(factor(e)) for e, c in u.terms.items()},
+        {e: c.times_unit(factor(e)) for e, c in u.terms.items()},
     )

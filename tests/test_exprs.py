@@ -228,6 +228,20 @@ def test_unexpected_character_is_located_before_its_whitespace():
     assert parse_scalar("q \t\n", CTX) == parse_scalar("q", CTX)
 
 
+def test_a_long_text_is_quoted_in_bounded_pieces():
+    # at most 40 characters on each side of the caret, each cut marked with
+    # an ellipsis; the position and the text are kept whole
+    cases = [
+        ("1" * 5000, 0, f"integer literal too long (at position 0: '' ^ {'1' * 40!r}…)"),
+        ("x*" * 2000 + "$", 4000, f"unexpected character (at position 4000: …{'x*' * 20!r} ^ '$')"),
+    ]
+    for text, pos, message in cases:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_ast(text)
+        assert (exc.value.pos, exc.value.text, str(exc.value)) == (pos, text, message)
+        assert len(message) < 200
+
+
 # -- the per-stage memo of evaluate ---------------------------------------------
 
 _SUMS = ["(x1 + q*x2)", "(x1 - 2)", "(q - 1)", "(x2^-1 + 1/2*x1)"]

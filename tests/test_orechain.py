@@ -802,3 +802,18 @@ def test_affine_stages_build_per_generator_data_once(monkeypatch):
     assert isinstance(out, TorusEmbedding) and out.state.Q.n == n
     assert len(seen) == n - 1
     assert all(built <= k for k, built in seen)
+
+
+def test_affine_stages_build_each_lower_entry_once(monkeypatch):
+    # call counts, not timings: the commutation matrix's lower-triangle form
+    # gains one row per appended generator, n(n-1)/2 entries in all, and is
+    # never rebuilt from the full matrix
+    from skewtor import torus
+
+    built, lower_entry = [], torus._lower_entry
+    monkeypatch.setattr(torus, "_lower_entry", lambda u: built.append(1) or lower_entry(u))
+    n = 12
+    pres = parse_presentation(json.dumps(bench_families().affine(0, n).presentation))
+    out = run_all(pres.ctx, pres.stages)
+    assert isinstance(out, TorusEmbedding) and out.state.Q.n == n
+    assert len(built) == n * (n - 1) // 2

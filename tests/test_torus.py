@@ -1,6 +1,7 @@
 """Normal-form arithmetic: oracle equivalence, cocycles, membership."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -301,7 +302,9 @@ def test_matrix_validation():
         CommutationMatrix(CTX, [[ONE, U("q")], [U("q"), ONE]])
 
 
-_ROW_ENTRIES = ["1", "-1", "2/3", "q", "p^2*r^-1", "-3/4*q*p", "5*r^-2", "1/2*q^-1*p"]
+_ROW_ENTRIES = [
+    "1", "-1", "2/3", "q", "p^2*r^-1", "-3/4*q*p", "5*r^-2", "1/2*q^-1*p", "-2/3*q", "3/2*p^-1*r"
+]
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,11 +324,39 @@ def test_append_row_matches_the_checked_constructor(data):
         Q = Q.append_row(row)
     want = CommutationMatrix(CTX, full)
     assert Q == want and Q.n == n
+    # the lower-triangle form grown one row per append is the one built
+    # from the full entries
+    assert Q.lower == want.lower
     # one row too long or, past n = 1, one too short for the n - 1 matrix
     prev = CommutationMatrix(CTX, [r[:-1] for r in full[:-1]])
     for row in [rows[-1] + [ONE]] + [rows[-1][:-1]] * (n > 1):
         with pytest.raises(InputError, match="wrong length"):
             prev.append_row(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_kernel_matches_the_oracle_on_appended_matrices(data):
+    # the lower-triangle form of a matrix grown row by row gives the
+    # products and cocycles that reordering the words letter by letter gives:
+    # x^d x_j = r x^(d+e_j) and x_j x^d = s x^(d+e_j)
+    entries = st.sampled_from(_ROW_ENTRIES).map(U)
+    n = data.draw(st.integers(1, 4))
+    Q = CommutationMatrix(CTX, [])
+    for k in range(n):
+        Q = Q.append_row([data.draw(entries) for _ in range(k)])
+    vector = st.tuples(*[st.integers(-3, 3)] * n)
+    a, b = data.draw(vector), data.draw(vector)
+    scalar, exps = monomial_mul(Q, a, b)
+    assert (scalar, exps) == bubble_oracle(Q, a, b)
+    assert type(scalar.coeff) is Fraction
+    for j in range(n):
+        ej = tuple(int(i == j) for i in range(n))
+        r, _ = bubble_oracle(Q, a, ej)
+        s, _ = bubble_oracle(Q, ej, a)
+        cocycles = qrs(Q, a, j)
+        assert cocycles == (r * s.inv(), r, s)
+        assert all(type(u.coeff) is Fraction for u in cocycles)
 
 
 def test_degenerate_ambients():

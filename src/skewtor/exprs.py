@@ -198,10 +198,6 @@ class _Parser:
         raise self.error("expected a number, name or '('", i)
 
 
-def parse_ast(text: str) -> Expr:
-    return _Parser(text).parse()
-
-
 def parse_with_names(text: str) -> tuple[Expr, set[str]]:
     """The tree of ``text`` and the set of names it uses."""
     parser = _Parser(text)

@@ -68,14 +68,20 @@ from .torus import (
 
 @dataclass(frozen=True)
 class Original:
-    """A canonical generator that is the k-th original generator itself."""
+    """A canonical generator that is the k-th original generator itself: the
+    generator of every stage whose derivation is zero, stage 1 included."""
 
     k: int  # index of the original generator this one equals
 
 
 @dataclass(frozen=True)
 class Derived:
-    """A canonical generator made by deleting the derivation of one stage."""
+    """A canonical generator made by deleting the derivation of one stage.
+
+    ``t`` is never zero: it has one term ``y * inducer`` for each component
+    of the deleted derivation, which is nonzero, and the components have
+    distinct weights, so no two terms cancel.
+    """
 
     J: tuple[int, ...]  # canonical generators localized at this stage
     stage: int  # index of the original generator being adjoined
@@ -89,34 +95,41 @@ Provenance = Original | Derived
 class AlgebraState:
     """A selectively localized quantum space plus bookkeeping.
 
-    ``orig_expr[k]`` expresses the k-th original generator in the canonical
-    ones; every stored element is kept padded to the current ambient size.
+    ``space`` is held once; ``ctx``, ``Q``, ``inverted`` and ``n`` are read
+    from it.  There is one original generator per canonical one, and
+    ``orig_expr[k]`` expresses the k-th original generator in the
+    canonical ones; every stored element is kept padded to the current
+    ambient size.
     """
 
-    ctx: ParameterContext
-    Q: CommutationMatrix
-    inverted: frozenset[int]
+    space: SelectiveSpace
     names: tuple[str, ...]
     provenance: tuple[Provenance, ...]
     orig_names: tuple[str, ...]
     orig_expr: tuple[TorusElement, ...]
 
     @property
-    def n(self) -> int:
-        return self.Q.n
+    def Q(self) -> CommutationMatrix:
+        return self.space.Q
 
     @property
-    def space(self) -> SelectiveSpace:
-        return SelectiveSpace(self.Q, self.inverted)
+    def ctx(self) -> ParameterContext:
+        return self.space.Q.ctx
+
+    @property
+    def inverted(self) -> frozenset[int]:
+        return self.space.inverted
+
+    @property
+    def n(self) -> int:
+        return self.space.n
 
     def generator(self, i: int, power: int = 1) -> TorusElement:
         return TorusElement.generator(self.ctx, self.n, i, power)
 
 
 def empty_state(ctx: ParameterContext) -> AlgebraState:
-    return AlgebraState(
-        ctx, CommutationMatrix(ctx, []), frozenset(), (), (), (), ()
-    )
+    return AlgebraState(SelectiveSpace(CommutationMatrix(ctx, []), ()), (), (), (), ())
 
 
 @dataclass(frozen=True)
@@ -155,7 +168,7 @@ class WeylWitness:
     u: OreElement  # (a_i x^(weight + e_i))^-1 (z - shift), of degree 1 in z
     p: OreElement  # the generator x_i
     trace: tuple[StageReport, ...]
-    names: tuple[str, ...] = ()  # canonical names of the ambient, z excluded
+    names: tuple[str, ...]  # canonical names of the ambient, z excluded
     var_name: str = "z"
     unprocessed: tuple[str, ...] = ()
 
@@ -214,12 +227,17 @@ def _eval_in_state(state: AlgebraState, tree: Expr, memo: dict | None = None) ->
 def translate_derivation(
     state: AlgebraState, stage: StageSpec
 ) -> tuple[SkewDerivation, ToricAutomorphism]:
-    """Express the stage data on the canonical generators and validate it."""
+    """Express the stage data on the canonical generators and validate it.
+
+    An unchanged generator takes its delta entry as it is; a derived one
+    ``y x_k - t`` is sent to ``sigma(y) d(x_k) + d(y) x_k - d(t)``.  On the
+    empty state this is the zero derivation on no generators.
+    """
     ctx, n, Q = state.ctx, state.n, state.Q
-    if len(stage.sigma_eigs) != len(state.orig_names):
+    if len(stage.sigma_eigs) != n:
         raise InputError(
             f"stage {stage.name!r} supplies {len(stage.sigma_eigs)} eigenvalues "
-            f"for {len(state.orig_names)} earlier generators"
+            f"for {n} earlier generators"
         )
     eigs = canonical_eigenvalues(state, stage.sigma_eigs)
     sigma = ToricAutomorphism(ctx, eigs)
@@ -228,7 +246,7 @@ def translate_derivation(
     # say) is evaluated once
     memo: dict[Expr, TorusElement] = {}
     deltas: list[TorusElement] = []
-    for k in range(len(state.orig_names)):
+    for k in range(n):
         tree = stage.delta_exprs[k] if k < len(stage.delta_exprs) else None
         deltas.append(
             TorusElement.zero(ctx, n) if tree is None else _eval_in_state(state, tree, memo)
@@ -464,9 +482,7 @@ def _adjoin(
     generator, to the state; earlier data is padded to the new size."""
     n = space.n
     return AlgebraState(
-        state.ctx,
-        space.Q,
-        space.inverted,
+        space,
         state.names + (name,),
         tuple(_pad_prov(p, n) for p in state.provenance) + (prov,),
         state.orig_names + (orig_name,),
@@ -477,35 +493,20 @@ def _adjoin(
 def run_stage(
     state: AlgebraState, stage: StageSpec, stage_no: int
 ) -> tuple[AlgebraState, StageReport] | WeylWitness:
+    """Adjoin one generator: unchanged when the stage derivation is zero,
+    as ``y x_i - t`` when it is deleted; or stop with a Weyl pair."""
     ctx, n = state.ctx, state.n
     new_n = n + 1
-    if n == 0:
-        if stage.sigma_eigs:
-            raise InputError("the first stage takes no eigenvalue data")
-        space = SelectiveSpace(CommutationMatrix(ctx, [[UnitMonomial.one(ctx)]]), frozenset())
-        new_state = _adjoin(
-            state, space, stage.name, Original(0), stage.name,
-            TorusElement.generator(ctx, 1, 0),
-        )
-        report = StageReport(
-            stage_no, stage.name, stage.name, (), (), (), None, (), ()
-        )
-        return new_state, report
-
     delta, sigma = translate_derivation(state, stage)
 
     if delta.is_zero():
-        new_row = sigma.lambdas
-        space = SelectiveSpace(state.Q.append_row(new_row), state.inverted)
-        prov = Derived((), len(state.orig_names), TorusElement.zero(ctx, new_n))
+        row = sigma.lambdas
+        space = SelectiveSpace(state.Q.append_row(row), state.inverted)
         new_state = _adjoin(
-            state, space, stage.name, prov, stage.name,
+            state, space, stage.name, Original(n), stage.name,
             TorusElement.generator(ctx, new_n, n),
         )
-        report = StageReport(
-            stage_no, stage.name, stage.name, sigma.lambdas, (), (), None,
-            new_row, (),
-        )
+        report = StageReport(stage_no, stage.name, stage.name, row, (), (), None, row, ())
         return new_state, report
 
     canonical_name = stage.rename or f"w{stage_no}"
@@ -523,7 +524,7 @@ def run_stage(
     y_inv = monomial_inverse(space.Q, indicator(new_n, report.J))
     v_plus_t = TorusElement.generator(ctx, new_n, n) + t_new
     new_state = _adjoin(
-        state, space, canonical_name, Derived(report.J, len(state.orig_names), t_new),
+        state, space, canonical_name, Derived(report.J, n, t_new),
         stage.name, elem_mul(space.Q, y_inv, v_plus_t),
     )
     return new_state, report

@@ -21,12 +21,18 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ArityMismatch, ExprSyntaxError, InputError, UnknownIdentifier
+from .errors import (
+    ArityMismatch,
+    ExprSyntaxError,
+    InputError,
+    MembershipViolation,
+    UnknownIdentifier,
+)
 from .exprs import Expr, evaluate, is_name, parse_with_names
 from .record import Record
 from .scalars import FieldElement, ParameterContext, UnitMonomial
 from .skewder import SkewDerivation, ToricAutomorphism
-from .torus import CommutationMatrix, SelectiveSpace, TorusElement, elem_div, elem_mul
+from .torus import CommutationMatrix, SelectiveSpace, TorusElement, elem_div, elem_mul, membership
 
 # the keys a file may use, at the top level and in each stage
 _FILE_KEYS = frozenset(
@@ -249,18 +255,18 @@ def _parse_stage(
 
 
 def _parse_image(
-    entry: object,
-    where: str,
-    ctx: ParameterContext,
-    Q: CommutationMatrix,
-    names: tuple[str, ...],
+    entry: object, where: str, space: SelectiveSpace, names: tuple[str, ...]
 ) -> TorusElement:
+    """A derivation image of a block; it must lie in the block's space."""
     text = _entry_text(entry, where)
     try:
-        return parse_element(text, ctx, Q, names)
+        image = parse_element(text, space.Q.ctx, space.Q, names)
     except InputError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
+    if not membership(space, image):
+        raise MembershipViolation(f"{where}: image leaves the space")
+    return image
 
 
 def _parse_block(raw: dict, ctx: ParameterContext, read: _UnitReader) -> StandaloneBlock:
@@ -310,7 +316,7 @@ def _parse_block(raw: dict, ctx: ParameterContext, read: _UnitReader) -> Standal
         if unknown:
             raise UnknownIdentifier(f"derivation images for unknown generator(s) {sorted(unknown)}")
         images = tuple(
-            _parse_image(der.get(name, "0"), f"derivation[{name!r}]", ctx, Q, names)
+            _parse_image(der.get(name, "0"), f"derivation[{name!r}]", space, names)
             for name in names
         )
         _require(sigma is not None, "a derivation block needs a lambda entry")

@@ -8,7 +8,6 @@ from typing import Any
 from .orechain import (
     AlgebraState,
     Derived,
-    Original,
     StageReport,
     TorusEmbedding,
     WeylWitness,
@@ -23,24 +22,16 @@ def _generator_label(state: AlgebraState, i: int) -> str:
 
 
 def provenance_equations(state: AlgebraState) -> list[str]:
+    """One equation ``w = y*x - t`` per derived generator; t is never zero."""
     out = []
     for i, prov in enumerate(state.provenance):
-        if isinstance(prov, Original):
-            continue
         if isinstance(prov, Derived):
-            if not prov.J and prov.t.is_zero():
-                continue
             factors = [state.names[j] for j in prov.J] + [state.orig_names[prov.stage]]
-            head = "*".join(factors)
-            if prov.t.is_zero():
-                rhs = head
-            else:
-                t_str = render_element(prov.t, state.names)
-                # a leading minus after " - " would not parse back
-                if len(prov.t.terms) > 1 or t_str.startswith("-"):
-                    t_str = f"({t_str})"
-                rhs = f"{head} - {t_str}"
-            out.append(f"{state.names[i]} = {rhs}")
+            t_str = render_element(prov.t, state.names)
+            # a leading minus after " - " would not parse back
+            if len(prov.t.terms) > 1 or t_str.startswith("-"):
+                t_str = f"({t_str})"
+            out.append(f"{state.names[i]} = {'*'.join(factors)} - {t_str}")
     return out
 
 
@@ -74,7 +65,7 @@ def _stage_dict(rep: StageReport, names: tuple[str, ...]) -> dict[str, Any]:
         d["components"] = [component_dict(c, names) for c in rep.components]
     if rep.J:
         d["localized"] = [names[j] for j in rep.J]
-    if rep.t is not None and not rep.t.is_zero():
+    if rep.t is not None:
         d["t"] = render_element(rep.t, names)
     if rep.new_row:
         d["new_row"] = [render_unit(u) for u in rep.new_row]
@@ -119,19 +110,12 @@ def build_report(outcome, ctx, trace_wanted: bool = True) -> dict[str, Any]:
         if outcome.unprocessed:
             rep["unprocessed_stages"] = list(outcome.unprocessed)
         if trace_wanted and outcome.trace:
-            names = _names_from_trace(outcome.trace)
-            rep["trace"] = [_stage_dict(r, names) for r in outcome.trace]
+            rep["trace"] = [_stage_dict(r, outcome.names) for r in outcome.trace]
         return rep
     raise TypeError(f"unknown outcome {outcome!r}")
 
 
-def _names_from_trace(trace) -> tuple[str, ...]:
-    return tuple(r.canonical_name for r in trace)
-
-
-def _ore_str(el, names: tuple[str, ...] = (), var: str = "z") -> str:
-    if not names:
-        names = tuple(f"x{i + 1}" for i in range(el.delta.n))
+def _ore_str(el, names: tuple[str, ...], var: str) -> str:
     parts = []
     for k, coeff in sorted(el.coeffs, reverse=True):
         body = render_element(coeff, names)

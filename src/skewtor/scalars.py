@@ -184,10 +184,6 @@ class UnitMonomial:
     def __repr__(self) -> str:
         return f"UnitMonomial({self.coeff}, {self.exps})"
 
-    def to_field(self) -> FieldElement:
-        num = LaurentPoly._trusted(self.ctx, {self.exps: self.coeff})
-        return FieldElement(num, LaurentPoly.one(self.ctx), normalize=False)
-
 
 def um_prod(
     ctx: ParameterContext, factors: Iterable[tuple[UnitMonomial, int]]
@@ -379,11 +375,12 @@ class FieldElement:
 
     @classmethod
     def parameter(cls, ctx: ParameterContext, name: str, power: int = 1) -> FieldElement:
-        return UnitMonomial.parameter(ctx, name, power).to_field()
+        return cls.from_unit(UnitMonomial.parameter(ctx, name, power))
 
     @classmethod
     def from_unit(cls, u: UnitMonomial) -> FieldElement:
-        return u.to_field()
+        num = LaurentPoly._trusted(u.ctx, {u.exps: u.coeff})
+        return cls(num, LaurentPoly.one(u.ctx), normalize=False)
 
     # -- predicates --------------------------------------------------------
 
@@ -432,7 +429,7 @@ class FieldElement:
         return None
 
     def times_unit(self, u: UnitMonomial) -> FieldElement:
-        """``self * u``: the same stored terms as ``self * u.to_field()``,
+        """``self * u``: the same stored terms as ``self * from_unit(u)``,
         without building that element."""
         return self._times_unit(u.exps, u.coeff)
 

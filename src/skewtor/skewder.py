@@ -42,7 +42,6 @@ from .torus import (
     ExponentVec,
     SelectiveSpace,
     TorusElement,
-    apply_scaling,
     elem_mul,
     elem_scale,
     exceptional_index,
@@ -75,7 +74,10 @@ class ToricAutomorphism:
 
 
 def apply_auto(sig: ToricAutomorphism, u: TorusElement) -> TorusElement:
-    return apply_scaling(u, sig.eigenvalue)
+    """Scale each monomial x^d by its eigenvalue under ``sig``."""
+    return TorusElement(
+        u.ctx, u.n, {e: c.times_unit(sig.eigenvalue(e)) for e, c in u.terms.items()}
+    )
 
 
 class SkewDerivation:

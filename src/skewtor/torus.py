@@ -349,7 +349,10 @@ def elem_pow(Q: CommutationMatrix, u: TorusElement, k: int) -> TorusElement:
         mu, _ = monomial_mul(Q, e, e)
         scale = mu.pow(k * (k - 1) // 2)
         unit = c.as_unit()
-        coeff = c**k * scale.to_field() if unit is None else (unit.pow(k) * scale).to_field()
+        if unit is None:
+            coeff = c**k * FieldElement.from_unit(scale)
+        else:
+            coeff = FieldElement.from_unit(unit.pow(k) * scale)
         return TorusElement.monomial(u.ctx, u.n, tuple(k * x for x in e), coeff)
     out = TorusElement.one(u.ctx, u.n)
     for _ in range(k):
@@ -400,13 +403,3 @@ def is_central(space: SelectiveSpace, u: TorusElement) -> bool:
                 return False
     return True
 
-
-def apply_scaling(
-    u: TorusElement, factor: "callable[[ExponentVec], UnitMonomial]"
-) -> TorusElement:
-    """Scale each monomial x^d by a unit depending on d (used by toric maps)."""
-    return TorusElement(
-        u.ctx,
-        u.n,
-        {e: c.times_unit(factor(e)) for e, c in u.terms.items()},
-    )

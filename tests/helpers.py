@@ -72,7 +72,7 @@ def coefficient(u: TorusElement, exps) -> FieldElement:
 
 def render_ast(node: Expr) -> str:
     """Expression tree back to source text; parse(render_ast(t)) == t holds
-    structurally for trees produced by parse_ast."""
+    structurally for trees produced by parse_with_names."""
     if isinstance(node, Fraction):
         return str(node)
     if isinstance(node, Pow):

@@ -195,7 +195,7 @@ def test_criterion_4_uqsl2_casimir():
     )
 
     state = AlgebraState(
-        ctx, Q, frozenset({0}), names, (Original(0), Original(1)), names,
+        SelectiveSpace(Q, {0}), names, (Original(0), Original(1)), names,
         (E("x1"), E("x2")),
     )
     extended, report = extend_by_ore(state, der, 3, "x3", "w3")

@@ -1,5 +1,7 @@
 """Command dispatch, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,12 +9,32 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skewtor import ArityMismatch, InputError, UnknownIdentifier
+from skewtor import (
+    ArityMismatch,
+    InputError,
+    SelectiveSpace,
+    ToricAutomorphism,
+    TorusElement,
+    UnknownIdentifier,
+    qrs,
+)
 from skewtor.cli import main
-from skewtor.presentation import parse_presentation
+from skewtor.presentation import PresentationFile, StandaloneBlock, parse_presentation
 
-from helpers import BENCH, bench_families
+from helpers import (
+    BENCH,
+    CTX,
+    UNIT_POOL,
+    U,
+    bench_families,
+    inner_derivation,
+    matrix_from_upper,
+    render_presentation,
+    sigma_made_inner,
+)
 
 P = "presentations"
 
@@ -419,6 +441,24 @@ def test_classify_outer_and_inner_components(tmp_path, capsys):
     assert kinds == [([0, 0], "outer_conjugate"), ([1, 0], "inner")]
 
 
+@pytest.mark.parametrize("image", ["(1 - q)*x^-1*y", "x^-2*y"])
+@pytest.mark.parametrize("command", ["check", "classify", "eval"])
+def test_derivation_image_outside_the_space_is_an_input_error(tmp_path, capsys, command, image):
+    # the first image is ad_{x^-1}, a derivation of the torus but not of the
+    # quantum plane; the second supports no derivation of the plane
+    f = _block(tmp_path, **{"lambda": ["1", "1"], "derivation": {"y": image}})
+    args = [command, f] + (["--expr", "y", "--apply", "delta"] if command == "eval" else [])
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    assert "derivation['y']: image leaves the space" in err
+
+
+def test_eval_expression_is_a_torus_element(tmp_path, capsys):
+    f = _block(tmp_path, **{"lambda": ["1", "1"], "derivation": {"y": "x*y"}})
+    code, out, _ = run_cli(["eval", f, "--expr", "x^-1*y"], capsys)
+    assert (code, out) == (0, "x^-1*y\n")
+
+
 def test_boolean_inverted_index_is_rejected(tmp_path, capsys):
     # JSON true is the int 1 to Python; it must not invert the first generator
     code, out, err = run_cli(["eval", _block(tmp_path, inverted=[True]), "--expr", "x^-1"], capsys)
@@ -590,8 +630,6 @@ def test_delta_may_be_shorter():
 def test_presentation_render_round_trip():
     from skewtor.presentation import load_presentation
 
-    from helpers import render_presentation
-
     for name in (
         "qmat3.json",
         "qmat2x2_caseA.json",
@@ -688,3 +726,72 @@ def test_provenance_with_a_negative_t_parses_back(tmp_path, capsys):
     Q = CommutationMatrix(ctx, [[one, half], [half.inv(), one]])  # x*y = 1/2*y*x
     x, y = (parse_element(name, ctx, Q, ("x", "y")) for name in ("x", "y"))
     assert parse_element(rhs, ctx, Q, ("x", "y")) == elem_mul(Q, x, y) - t.extend_to(2)
+
+
+# -- the paper's dichotomy on random quantum affine spaces ----------------------
+
+
+@st.composite
+def _affine_blocks(draw):
+    """A standalone block over a random quantum affine space with n <= 3 and
+    a random inverted subset, carrying one of four kinds of derivation:
+    inner ``ad_a``, a single component ``x_j -> x^(d+e_j)`` with sigma
+    induced by ``x^-d``, a component at a weight with -1 at one
+    non-inverted index, or random monomial images."""
+    n = draw(st.integers(1, 3))
+    units = st.sampled_from(UNIT_POOL).map(U)
+    Q = matrix_from_upper(CTX, n, {(i, j): draw(units) for i in range(n) for j in range(i + 1, n)})
+    inverted = draw(st.sets(st.integers(0, n - 1)))
+    zero = TorusElement.zero(CTX, n)
+    kind = draw(st.sampled_from(["inner", "outer", "local", "random"]))
+    if kind == "inner":
+        sig = ToricAutomorphism(CTX, tuple(draw(units) for _ in range(n)))
+        a = TorusElement.monomial(CTX, n, draw(st.tuples(*[st.integers(-2, 2)] * n)))
+        images = inner_derivation(Q, sig, a).images
+    elif kind == "outer":
+        d = draw(st.tuples(*[st.integers(-1, 2)] * n))
+        sig = sigma_made_inner(None, Q, d)
+        j = draw(st.integers(0, n - 1))
+        images = [zero] * n
+        images[j] = TorusElement.monomial(CTX, n, tuple(k + (i == j) for i, k in enumerate(d)))
+    elif kind == "local":
+        j = draw(st.integers(0, n - 1))
+        d = [draw(st.integers(-1, 2)) if i in inverted else draw(st.integers(0, 2)) for i in range(n)]
+        d[j] = -1
+        # drops vanish off j, so only x_j has a nonzero image
+        lam_j = draw(units | st.just(qrs(Q, tuple(d), j)[0]))
+        sig = ToricAutomorphism(
+            CTX, tuple(lam_j if i == j else qrs(Q, tuple(d), i)[0] for i in range(n))
+        )
+        images = [zero] * n
+        images[j] = TorusElement.monomial(CTX, n, tuple(k + (i == j) for i, k in enumerate(d)))
+    else:
+        sig = ToricAutomorphism(CTX, tuple(draw(units) for _ in range(n)))
+        exps = st.tuples(*[st.integers(-1, 2)] * n)
+        images = [
+            TorusElement.monomial(CTX, n, draw(exps)) if draw(st.booleans()) else zero
+            for _ in range(n)
+        ]
+    names = tuple(f"x{i + 1}" for i in range(n))
+    block = StandaloneBlock(names, SelectiveSpace(Q, inverted), sig, tuple(images))
+    return render_presentation(PresentationFile(CTX, None, block))
+
+
+def _exit_code(args) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(args)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_affine_blocks())
+def test_valid_blocks_classify_and_invalid_ones_are_input_errors(tmp_path_factory, text):
+    # check, classify and eval end in exit 0 or 1, never in an internal
+    # error, and every block that check accepts classifies
+    f = tmp_path_factory.getbasetemp() / "random_block.json"
+    f.write_text(text, encoding="utf-8")
+    checked = _exit_code(["check", str(f)])
+    classified = _exit_code(["classify", str(f)])
+    applied = _exit_code(["eval", str(f), "--expr", "x1", "--apply", "delta"])
+    assert {checked, classified, applied} <= {0, 1}, text
+    if checked == 0:
+        assert classified == 0, text

@@ -18,7 +18,7 @@ from skewtor import (
     elem_mul,
 )
 from skewtor import exprs, orechain
-from skewtor.exprs import Sum, _Parser, evaluate, parse_ast, parse_with_names
+from skewtor.exprs import Sum, _Parser, evaluate, parse_with_names
 from skewtor.presentation import parse_element, parse_presentation, parse_scalar, parse_unit
 from skewtor.render import render_element, render_scalar, render_unit
 from skewtor.torus import elem_div
@@ -130,8 +130,6 @@ def test_compound_coefficient_rendering():
 
 
 def test_render_ast_fixed_point():
-    from skewtor.exprs import parse_ast
-
     cases = [
         "x1",
         "q^-1*x1*x2",
@@ -142,10 +140,10 @@ def test_render_ast_fixed_point():
         "q^2 - 1",
     ]
     for text in cases:
-        tree = parse_ast(text)
+        tree = parse_with_names(text)[0]
         printed = render_ast(tree)
-        assert parse_ast(printed) == tree, text
-        assert render_ast(parse_ast(printed)) == printed, text
+        assert parse_with_names(printed)[0] == tree, text
+        assert render_ast(parse_with_names(printed)[0]) == printed, text
 
 
 _PIECES = ["x", "x1", "q", "_a", "Ab9", "0", "7", "42", "+", "-", "*", "/", "^", "(", ")"]
@@ -237,7 +235,7 @@ def test_a_long_text_is_quoted_in_bounded_pieces():
     ]
     for text, pos, message in cases:
         with pytest.raises(ExprSyntaxError) as exc:
-            parse_ast(text)
+            parse_with_names(text)
         assert (exc.value.pos, exc.value.text, str(exc.value)) == (pos, text, message)
         assert len(message) < 200
 
@@ -288,7 +286,7 @@ _trees = st.recursive(
 @given(_trees, _trees)
 def test_the_memo_is_invisible(a, b):
     # a enters twice, as the inducer of an inner derivation does
-    tree = parse_ast(f"({a})*x1 - q*x1*({a}) + ({b})*({a})")
+    tree = parse_with_names(f"({a})*x1 - q*x1*({a}) + ({b})*({a})")[0]
     memo = {}
     assert _fold_outcome(tree, memo) == _fold_outcome(tree, None)
     # a second fold through the filled memo gives the same value again

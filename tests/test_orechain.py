@@ -34,6 +34,7 @@ from skewtor import (
 )
 from skewtor.orechain import (
     Derived,
+    Original,
     _eval_in_state,
     canonical_eigenvalues,
     empty_state,
@@ -161,7 +162,7 @@ def test_verify_normal_rejects_a_wrong_t():
     from skewtor.orechain import AlgebraState, Original
 
     state = AlgebraState(
-        ctx, Q, frozenset({0}), names, (Original(0), Original(1)), names,
+        SelectiveSpace(Q, {0}), names, (Original(0), Original(1)), names,
         (E_("K"), E_("E")),
     )
     _, report = extend_by_ore(state, der, 3, "F", "w3")
@@ -232,9 +233,9 @@ def test_weyl_witness_with_inner_shift():
 
 
 def json_expr(text):
-    from skewtor.exprs import parse_ast
+    from skewtor.exprs import parse_with_names
 
-    return parse_ast(text)
+    return parse_with_names(text)[0]
 
 
 def test_stage_with_zero_delta_appends_row():
@@ -574,9 +575,7 @@ def test_verify_normal_uqsl2_casimir():
     from skewtor.orechain import AlgebraState, Original
 
     state = AlgebraState(
-        ctx,
-        Q,
-        frozenset({0}),
+        SelectiveSpace(Q, {0}),
         names,
         (Original(0), Original(1)),
         names,
@@ -673,7 +672,7 @@ def test_verify_normal_zero_delta_table_is_eigenvalue_row():
 
     E = lambda s: parse_element(s, ctx, Q, names)
     state = AlgebraState(
-        ctx, Q, frozenset(), names, (Original(0), Original(1)), names,
+        SelectiveSpace(Q, ()), names, (Original(0), Original(1)), names,
         (E("x"), E("y")),
     )
     table = verify_normal(state, der, (), TorusElement.zero(ctx, 2))
@@ -800,7 +799,8 @@ def test_affine_stages_build_per_generator_data_once(monkeypatch):
     pres = parse_presentation(json.dumps(bench_families().affine(0, n).presentation))
     out = run_all(pres.ctx, pres.stages)
     assert isinstance(out, TorusEmbedding) and out.state.Q.n == n
-    assert len(seen) == n - 1
+    # stage 1 validates the zero derivation on no generators
+    assert len(seen) == n
     assert all(built <= k for k, built in seen)
 
 
@@ -817,3 +817,56 @@ def test_affine_stages_build_each_lower_entry_once(monkeypatch):
     out = run_all(pres.ctx, pres.stages)
     assert isinstance(out, TorusEmbedding) and out.state.Q.n == n
     assert len(built) == n * (n - 1) // 2
+
+
+# -- one path for every stage ----------------------------------------------------
+
+
+def _staged_inputs():
+    from pathlib import Path
+
+    for path in sorted(Path(P).glob("*.json")):
+        pres = load_presentation(str(path))
+        if pres.stages is not None:
+            yield pytest.param(pres, id=path.name)
+    families = bench_families()
+    for name, doc in [
+        ("qmat3", families.qmat(3)),
+        ("affine(0, 12)", families.affine(0, 12).presentation),
+        ("weyl(0)", families.weyl(0).presentation),
+    ]:
+        yield pytest.param(parse_presentation(json.dumps(doc)), id=name)
+
+
+@pytest.mark.parametrize("pres", list(_staged_inputs()))
+def test_unchanged_generators_are_originals_and_derived_ones_subtract_a_nonzero_t(pres):
+    # a stage whose derivation is zero (it reports no component) adjoins its
+    # generator unchanged, stage 1 included; a deleted derivation leaves a
+    # nonzero t, so every provenance equation has a subtracted part
+    state = empty_state(pres.ctx)
+    for no, stage in enumerate(pres.stages, start=1):
+        result = run_stage(state, stage, no)
+        if isinstance(result, WeylWitness):
+            break
+        state, report = result
+        prov = state.provenance[-1]
+        if report.components:
+            assert isinstance(prov, Derived) and not prov.t.is_zero(), no
+        else:
+            assert prov == Original(no - 1), no
+    assert all(isinstance(p, Original) or not p.t.is_zero() for p in state.provenance)
+
+
+def test_affine_stages_build_no_partial_derivation(monkeypatch):
+    # call counts, not timings: every generator of a quantum affine space is
+    # unchanged, so no stage extends a partial derivation over y and t
+    calls = []
+    trusted = SkewDerivation.trusted
+    monkeypatch.setattr(
+        SkewDerivation, "trusted", classmethod(lambda cls, *a: calls.append(1) or trusted(*a))
+    )
+    n = 12
+    pres = parse_presentation(json.dumps(bench_families().affine(0, n).presentation))
+    out = run_all(pres.ctx, pres.stages)
+    assert isinstance(out, TorusEmbedding) and out.state.n == n
+    assert calls == []

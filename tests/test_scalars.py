@@ -196,7 +196,7 @@ def normalized_fractions(draw):
 @settings(max_examples=300, deadline=None)
 @given(normalized_fractions(), units())
 def test_unit_factor_keeps_the_terms_of_the_full_path(a, u):
-    f = u.to_field()
+    f = FieldElement.from_unit(u)
     expected = full_path(a.num * f.num, a.den * f.den)
     assert stored(a * f) == expected
     assert stored(f * a) == expected
@@ -221,8 +221,8 @@ def test_unit_denominator_construction_keeps_the_terms_of_the_full_path(num):
 
 @settings(max_examples=150, deadline=None)
 @given(units())
-def test_to_field_keeps_the_terms_of_the_full_path(u):
-    f = u.to_field()
+def test_from_unit_keeps_the_terms_of_the_full_path(u):
+    f = FieldElement.from_unit(u)
     assert stored(f) == full_path(LaurentPoly(CTX, {u.exps: u.coeff}), LaurentPoly.one(CTX))
     assert clean(f.num) and clean(f.den)
 

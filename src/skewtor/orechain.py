@@ -32,6 +32,7 @@ from .errors import (
 from .exprs import Expr, evaluate
 from .ore import OreElement
 from .presentation import StageSpec
+from .render import render_element
 from .scalars import (
     FieldElement,
     ParameterContext,
@@ -41,7 +42,6 @@ from .scalars import (
 )
 from .skewder import (
     ComponentReport,
-    HomogeneousComponent,
     SkewDerivation,
     ToricAutomorphism,
     apply_auto,
@@ -290,6 +290,31 @@ def normalizing_scalar(Q: CommutationMatrix, J: Sequence[int], exps: ExponentVec
     return um_prod(Q.ctx, ((Q.entry(l, j), e) for j in J for l, e in enumerate(exps)))
 
 
+def _commutator_parts(
+    state: AlgebraState, delta: SkewDerivation,
+    a: TorusElement, b: TorusElement, l: int, c: FieldElement,
+) -> tuple[TorusElement, TorusElement]:
+    """The z coefficient and the torus part of ``w x_l - c x_l w`` for
+    ``w = a z + b``.
+
+    ``z x_l = lambda_l x_l z + delta(x_l)`` turns it into
+    ``(lambda_l a x_l - c x_l a) z + a delta(x_l) + b x_l - c x_l b``.
+    """
+    Q = state.Q
+    x = state.generator(l)
+    lam = FieldElement.from_unit(delta.sigma.lambdas[l])
+    return (
+        elem_scale(lam, elem_mul(Q, a, x)) - elem_scale(c, elem_mul(Q, x, a)),
+        elem_mul(Q, a, delta.images[l]) + elem_mul(Q, b, x) - elem_scale(c, elem_mul(Q, x, b)),
+    )
+
+
+def _shown(u: TorusElement, names: tuple[str, ...]) -> str:
+    """``u`` as the reports print it, cut after 200 characters."""
+    text = render_element(u, names)
+    return text if len(text) <= 200 else text[:200] + "…"
+
+
 def verify_normal(
     state: AlgebraState,
     delta: SkewDerivation,
@@ -302,9 +327,9 @@ def verify_normal(
     canonical generator and one for z itself.  The z entry is None when no
     single scalar works (v is still normal as a set in that case).
 
-    Moving z past a torus element with ``z r = sigma(r) z + delta(r)`` turns
-    ``v x_l = c x_l v`` into the monomial identity ``lambda_l y x_l = c x_l y``
-    (the z coefficients) plus the torus identity
+    ``v x_l = c x_l v`` holds when both parts ``_commutator_parts`` returns
+    for ``a = y``, ``b = -t`` and that c are zero: the monomial identity
+    ``lambda_l y x_l = c x_l y`` and the torus identity
     ``y delta(x_l) - t x_l + c x_l t = 0``.  With ``nu`` the eigenvalue of y,
     ``v z = nu^-1 z v`` holds exactly when ``delta(t) = 0`` and
     ``sigma(t) - delta(y) = nu t``.
@@ -312,23 +337,17 @@ def verify_normal(
     ctx, n, Q = state.ctx, state.n, state.Q
     sigma = delta.sigma
     y = TorusElement.monomial(ctx, n, indicator(n, J))
+    minus_t = -t
 
     table: list[tuple[str, UnitMonomial | None]] = []
     for l in range(n):
-        x = state.generator(l)
         scalar = sigma.lambdas[l] * normalizing_scalar(Q, J, indicator(n, (l,))).inv()
         c = FieldElement.from_unit(scalar)
-        lam = FieldElement.from_unit(sigma.lambdas[l])
-        z_part = elem_scale(lam, elem_mul(Q, y, x)) - elem_scale(c, elem_mul(Q, x, y))
-        torus_part = (
-            elem_mul(Q, y, delta.images[l])
-            - elem_mul(Q, t, x)
-            + elem_scale(c, elem_mul(Q, x, t))
-        )
-        for residual in (z_part, torus_part):
+        for residual in _commutator_parts(state, delta, y, minus_t, l, c):
             if not residual.is_zero():
                 raise NotNormal(
-                    f"new generator fails normality against {state.names[l]!r}",
+                    f"new generator fails normality against {state.names[l]!r}; "
+                    f"residual {_shown(residual, state.names)}",
                     generator=state.names[l],
                     residual=residual,
                 )
@@ -349,125 +368,93 @@ def extend_by_ore(
     stage_no: int,
     name: str,
     canonical_name: str,
-) -> (
-    tuple[SelectiveSpace, StageReport]
-    | tuple[ExponentVec, tuple[ComponentReport, ...]]
-):
+) -> tuple[SelectiveSpace | None, StageReport]:
     """Classify the stage derivation and build the extended space.
 
     Returns the extended space with the report of stage ``stage_no``, which
-    adjoins ``name`` as ``canonical_name``; or the offending weight with the
-    component reports when some component is conjugate to a derivation (the
-    Weyl-algebra case).
+    adjoins ``name`` as ``canonical_name``.  When some component is
+    conjugate to a derivation (the Weyl-algebra case) the space is None and
+    the report carries the component verdicts alone.
     """
     ctx, n, Q = state.ctx, state.n, state.Q
     sigma = delta.sigma
-    space = state.space
     reports = tuple(
-        classify_component(comp, sigma, space) for comp in decompose_homogeneous(delta)
+        classify_component(comp, sigma, state.space) for comp in decompose_homogeneous(delta)
     )
-    outer = [r.weight for r in reports if r.kind == "outer_conjugate"]
-    if outer:
-        return outer[0], reports
-    inner_part = TorusElement.zero(ctx, n)
-    locals_: list[tuple[int, TorusElement]] = []
-    for r in reports:
-        if r.kind == "inner":
-            inner_part = inner_part + r.inducer
-        else:
-            locals_.append((r.j, r.inducer))
+    report = StageReport(stage_no, name, canonical_name, sigma.lambdas, reports, (), None, (), ())
+    if any(r.kind == "outer_conjugate" for r in reports):
+        return None, report
 
-    J = tuple(sorted({j for j, _ in locals_}))
-    y = TorusElement.monomial(ctx, n, indicator(n, J))
+    locals_ = [r for r in reports if r.kind == "locally_inner"]
+    J = tuple(sorted({r.j for r in locals_}))
+    y_exps = indicator(n, J)
+    # each component adds one term at its own weight; the locally inner
+    # inducers come first, since the order of t's terms feeds later sums
+    ordered = locals_ + [r for r in reports if r.kind == "inner"]
+    inducers = sum((r.inducer for r in ordered), TorusElement.zero(ctx, n))
+    t = elem_mul(Q, TorusElement.monomial(ctx, n, y_exps), inducers)
+    if not membership(state.space, t):
+        raise MembershipViolation("the subtracted part t leaves the space")
 
-    t = TorusElement.zero(ctx, n)
-    sig_phi_parts: list[TorusElement] = []
-    for _, inducer in locals_:
-        part = elem_mul(Q, y, inducer)
-        if not membership(space, part):
-            raise MembershipViolation("locally inner inducer leaves the space")
-        sig_phi_parts.append(part)
-        t = t + part
-    if not inner_part.is_zero():
-        part = elem_mul(Q, y, inner_part)
-        if not membership(space, part):
-            raise MembershipViolation("inner part leaves the space")
-        t = t + part
-
-    # the locally inner part of t must have matching stage and normalizing
-    # eigenvalues; this is forced for valid input
-    for part in sig_phi_parts:
-        for e, _ in part:
-            if sigma.eigenvalue(e) != normalizing_scalar(Q, J, e):
-                raise Inconsistent(
-                    "normalizing and stage eigenvalues disagree on the deleted part"
-                )
+    # the locally inner terms y x^weight of t must have matching stage and
+    # normalizing eigenvalues; this is forced for valid input
+    for r in locals_:
+        e = tuple(a + b for a, b in zip(y_exps, r.weight))
+        if sigma.eigenvalue(e) != normalizing_scalar(Q, J, e):
+            raise Inconsistent("normalizing and stage eigenvalues disagree on the deleted part")
 
     table = verify_normal(state, delta, J, t)
     new_row = tuple(scalar for _, scalar in table[:-1])
     new_space = SelectiveSpace(Q.append_row(new_row), state.inverted | set(J))
-    report = StageReport(
-        stage_no, name, canonical_name, sigma.lambdas, reports, J, t, new_row, table
-    )
-    return new_space, report
+    return new_space, replace(report, J=J, t=t, new_row=new_row, normal_table=table)
 
 
 def weyl_witness(
     state: AlgebraState,
     delta: SkewDerivation,
-    weight: ExponentVec,
     reports: Sequence[ComponentReport],
-) -> tuple[OreElement, OreElement]:
-    """Produce u, p with u p - p u = 1 in the extension by z.
+) -> tuple[ExponentVec, OreElement, OreElement]:
+    """Produce the weight and u, p with u p - p u = 1 in the extension by z.
 
-    u is L^-1 (z - shift) with L = a_i x^(weight + e_i), where a_i is a
-    nonzero coefficient of the conjugate-to-derivation component and the
-    shift removes every component that is inner on the full torus; p = x_i.
-    Moving z past x_i gives ``u p - p u = (lambda_i L^-1 x_i - x_i L^-1) z
-    + L^-1 (delta(x_i) - shift x_i) + x_i L^-1 shift``, so the identity is a
-    monomial check plus a torus identity, both verified before returning.
+    ``reports`` are the verdicts ``extend_by_ore`` made on the selective
+    space, one per component; the weight is that of the first one conjugate
+    to a derivation.  u is L^-1 (z - shift), where L = a_i x^(weight + e_i)
+    is that component's term in delta(x_i) for the first i that has one and
+    the shift sums the other components' inducers; p = x_i.  For
+    ``a = L^-1``, ``b = -L^-1 shift`` and ``c = 1``, ``_commutator_parts``
+    gives the z coefficient and the torus part of u p - p u, which are
+    checked to be 0 and 1 before returning.
 
-    ``reports`` are the classifications ``extend_by_ore`` made on the
-    selective space, one per component.  A component inner or locally inner
-    there is inner on the torus with the same inducer (the same first
-    nonzero coefficient over the same drop).  One reported conjugate to a
-    derivation stays so on the torus, unless a cocycle mismatch at an
-    inverted index makes it inconsistent there; it is classified again on
-    the torus, which raises ``Inconsistent`` in that case.
+    The verdicts on the space hold on the torus.  A validated component
+    satisfies ``a_i drop_j = a_j drop_i`` for every pair, inverted indices
+    included.  One conjugate to a derivation on its space has a zero drop
+    where its coefficient is nonzero, so every drop is zero and it is
+    conjugate to a derivation on the torus too.  Inner and locally inner
+    components keep their inducers there: the same first nonzero
+    coefficient over the same drop.
     """
     ctx, n, Q = state.ctx, state.n, state.Q
-    sigma = delta.sigma
-    torus = state.space.torus()
-    shift = TorusElement.zero(ctx, n)
-    target: HomogeneousComponent | None = None
-    for comp, report in zip(decompose_homogeneous(delta), reports, strict=True):
-        if report.kind != "outer_conjugate":
-            shift = shift + report.inducer
-            continue
-        classify_component(comp, sigma, torus)
-        if comp.weight == weight:
-            target = comp
-    if target is None:
-        raise Inconsistent(f"no conjugate-to-derivation component at weight {weight}")
-    i = next(k for k in range(n) if not target.coeffs[k].is_zero())
-    g = list(weight)
-    g[i] += 1
-    lead_inv = elem_inv(Q, TorusElement.monomial(ctx, n, tuple(g), target.coeffs[i]))
-    x = state.generator(i)
-    lam = FieldElement.from_unit(sigma.lambdas[i])
-    x_lead_inv = elem_mul(Q, x, lead_inv)
-    z_part = elem_scale(lam, elem_mul(Q, lead_inv, x)) - x_lead_inv
-    torus_part = (
-        elem_mul(Q, lead_inv, delta.images[i] - elem_mul(Q, shift, x))
-        + elem_mul(Q, x_lead_inv, shift)
-    )
+    weight = next(r.weight for r in reports if r.kind == "outer_conjugate")
+    others = (r.inducer for r in reports if r.kind != "outer_conjugate")
+    shift = sum(others, TorusElement.zero(ctx, n))
+    leads = [tuple(w + (j == k) for j, w in enumerate(weight)) for k in range(n)]
+    i = next(k for k in range(n) if leads[k] in delta.images[k].terms)
+    L = TorusElement.monomial(ctx, n, leads[i], delta.images[i].terms[leads[i]])
+    lead_inv = elem_inv(Q, L)
+    b = elem_mul(Q, lead_inv, -shift)
+    z_part, torus_part = _commutator_parts(state, delta, lead_inv, b, i, FieldElement.one(ctx))
     if not z_part.is_zero() or torus_part != TorusElement.one(ctx, n):
+        got = (
+            f"z coefficient of u*p - p*u = {_shown(z_part, state.names)}"
+            if not z_part.is_zero()
+            else f"u*p - p*u = {_shown(torus_part, state.names)}"
+        )
         raise Inconsistent(
             "Weyl certificate failed to verify; the derivation has "
-            "conjugate-to-derivation components at several weights"
+            f"conjugate-to-derivation components at several weights: {got}"
         )
-    u = OreElement.make(delta, {1: lead_inv, 0: elem_mul(Q, lead_inv, -shift)})
-    return u, OreElement.from_torus(delta, x)
+    u = OreElement.make(delta, {1: lead_inv, 0: b})
+    return weight, u, OreElement.from_torus(delta, state.generator(i))
 
 
 def _adjoin(
@@ -510,15 +497,13 @@ def run_stage(
         return new_state, report
 
     canonical_name = stage.rename or f"w{stage_no}"
-    result = extend_by_ore(state, delta, stage_no, stage.name, canonical_name)
-    if not isinstance(result[0], SelectiveSpace):
-        weight, reports = result
-        u, p = weyl_witness(state, delta, weight, reports)
+    space, report = extend_by_ore(state, delta, stage_no, stage.name, canonical_name)
+    if space is None:
+        weight, u, p = weyl_witness(state, delta, report.components)
         return WeylWitness(
             stage_no, weight, u, p, trace=(), names=state.names, var_name=stage.name,
         )
 
-    space, report = result
     t_new = report.t.extend_to(new_n)
     # x_i = y^-1 (v + t), evaluated in the extended matrix
     y_inv = monomial_inverse(space.Q, indicator(new_n, report.J))

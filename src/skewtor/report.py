@@ -126,6 +126,8 @@ def _ore_str(el, names: tuple[str, ...], var: str) -> str:
         else:
             z = var if k == 1 else f"{var}^{k}"
             parts.append(z if body == "1" else f"{body}*{z}")
+    # a later part with a leading minus would not parse back after " + "
+    parts[1:] = [f"({p})" if p.startswith("-") else p for p in parts[1:]]
     return " + ".join(parts) if parts else "0"
 
 

@@ -134,9 +134,6 @@ class SelectiveSpace(Record):
     def n(self) -> int:
         return self.Q.n
 
-    def torus(self) -> SelectiveSpace:
-        return SelectiveSpace(self.Q, frozenset(range(self.Q.n)))
-
 
 class TorusElement:
     """A normal-form element: finite map from exponent vectors to coefficients."""

@@ -396,6 +396,10 @@ def test_internal_error_names_its_stage(tmp_path, capsys):
     code, _, err = run_cli(["run", str(f)], capsys)
     assert code == 2
     assert "stage 3 ('z')" in err
+    # u = z and p = x1, so u*p - p*u is delta(x1) itself
+    assert err.rstrip().endswith("Weyl certificate failed to verify; the derivation has "
+                                 "conjugate-to-derivation components at several weights: "
+                                 "u*p - p*u = 1 + x2")
 
 
 def test_check_terminal_witness_ok(capsys):

@@ -48,6 +48,7 @@ from skewtor.presentation import (
     parse_scalar,
     parse_unit,
 )
+from skewtor.render import render_element
 from skewtor.report import build_report, to_json
 from skewtor.torus import indicator
 
@@ -172,6 +173,21 @@ def test_verify_normal_rejects_a_wrong_t():
     assert exc.value.generator == "E" and "'E'" in str(exc.value)
     assert isinstance(exc.value.residual, TorusElement)
     assert not exc.value.residual.is_zero()
+    # the message ends with the residual as the reports print it
+    assert str(exc.value).endswith(f"; residual {render_element(exc.value.residual, names)}")
+
+
+def test_failure_messages_cut_a_long_residual():
+    from skewtor.orechain import _shown
+
+    ctx = ParameterContext([])
+    names = ("x",)
+    long = TorusElement(ctx, 1, {(k,): FieldElement.one(ctx) for k in range(100)})
+    text = _shown(long, names)
+    assert len(text) == 201 and text.endswith("…")
+    assert render_element(long, names).startswith(text[:-1])
+    x = TorusElement.generator(ctx, 1, 0)
+    assert _shown(x, names) == "x"
 
 
 # -- single stages -------------------------------------------------------------
@@ -870,3 +886,87 @@ def test_affine_stages_build_no_partial_derivation(monkeypatch):
     out = run_all(pres.ctx, pres.stages)
     assert isinstance(out, TorusEmbedding) and out.state.n == n
     assert calls == []
+
+
+# -- one classification per stage, printed output that parses back ---------------
+
+
+@pytest.mark.parametrize("name", ["weyl(0)", "qmat2x2_caseB.json"])
+def test_each_stage_is_decomposed_and_classified_once(monkeypatch, name):
+    # call counts, not timings: the Weyl witness reads the verdicts the stage
+    # already made instead of decomposing and classifying the derivation again
+    from skewtor import orechain
+
+    calls = {"nonzero": 0, "decompose": 0, "components": 0, "classify": 0}
+    translate = orechain.translate_derivation
+    decompose = orechain.decompose_homogeneous
+    classify = orechain.classify_component
+
+    def translating(state, stage):
+        der, sigma = translate(state, stage)
+        calls["nonzero"] += not der.is_zero()
+        return der, sigma
+
+    def decomposing(der):
+        comps = decompose(der)
+        calls["decompose"] += 1
+        calls["components"] += len(comps)
+        return comps
+
+    def classifying(*args):
+        calls["classify"] += 1
+        return classify(*args)
+
+    monkeypatch.setattr(orechain, "translate_derivation", translating)
+    monkeypatch.setattr(orechain, "decompose_homogeneous", decomposing)
+    monkeypatch.setattr(orechain, "classify_component", classifying)
+    if name == "weyl(0)":
+        pres = parse_presentation(json.dumps(bench_families().weyl(0).presentation))
+    else:
+        pres = load_presentation(f"{P}/{name}")
+    out = run_all(pres.ctx, pres.stages)
+    assert isinstance(out, WeylWitness)
+    assert calls["nonzero"] > 0 and calls["decompose"] == calls["nonzero"]
+    assert calls["classify"] == calls["components"]
+
+
+INNER_SHIFT = {
+    "parameters": ["q"],
+    "stages": [
+        {"name": "x1"},
+        {"name": "x2", "sigma": ["q"]},
+        {"name": "z", "sigma": ["1", "1"], "delta": ["x1", "x1*x2 - x2*x1"]},
+    ],
+}
+
+
+def _printed_inputs():
+    from pathlib import Path
+
+    for path in sorted(Path(P).glob("*.json")):
+        pres = load_presentation(str(path))
+        if pres.stages is not None:
+            yield pytest.param(pres, id=path.name)
+    families = bench_families()
+    docs = [("qmat3", families.qmat(3)), ("affine(0, 12)", families.affine(0, 12).presentation)]
+    docs += [(f"weyl({s}, {i})", families.weyl(s, i).presentation) for s in range(5) for i in range(3)]
+    docs.append(("inner shift", INNER_SHIFT))
+    for name, doc in docs:
+        yield pytest.param(parse_presentation(json.dumps(doc)), id=name)
+
+
+@pytest.mark.parametrize("pres", list(_printed_inputs()))
+def test_printed_elements_parse_back(pres):
+    # every t, inducer, provenance right-hand side, u, p and certificate the
+    # report prints is an expression the engine's own parser accepts
+    from skewtor.exprs import parse_with_names
+
+    report = build_report(run_all(pres.ctx, pres.stages), pres.ctx, trace_wanted=True)
+    printed = [eq.split(" = ", 1)[1] for eq in report.get("provenance", [])]
+    for stage in report.get("trace", []):
+        printed += [stage["t"]] if "t" in stage else []
+        printed += [c["inducer"] for c in stage.get("components", []) if "inducer" in c]
+    if report["outcome"] == "weyl_witness":
+        printed += [report["u"], report["p"], report["certificate"].removesuffix(" = 1")]
+    for text in printed:
+        parse_with_names(text)

@@ -557,6 +557,42 @@ def test_classify_dichotomy_random():
                 assert classify_component(comp, sig, torus).kind == "inner"
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.sampled_from(["inner", "outer", "both"]),
+    st.sets(st.integers(0, 3)),
+)
+def test_verdicts_on_a_selective_space_hold_on_the_torus(seed, n, kind, extra):
+    # the Weyl witness reuses the verdicts made on the stage's space: one
+    # conjugate to a derivation there is so on the torus, and an inner or
+    # locally inner one is inner on the torus with the same inducer
+    rng = random.Random(seed)
+    Q = random_matrix(rng, n)
+    d = tuple(rng.randint(-2, 2) for _ in range(n))
+    sig = random_auto(rng, n) if kind == "inner" else sigma_made_inner(rng, Q, d)
+    images = [TorusElement.zero(CTX, n)] * n
+    if kind != "outer":
+        images = list(random_inner_derivation(rng, Q, sig).images)
+    if kind != "inner":
+        j = rng.randrange(n)
+        images[j] = images[j] + outer_derivation(Q, sig, d, j).images[j]
+    der = SkewDerivation(Q, sig, images)
+    validate_derivation(der)
+    # the least space holding the images, with some more generators inverted
+    inverted = {i for im in images for e in im.terms for i, k in enumerate(e) if k < 0}
+    space = SelectiveSpace(Q, inverted | {i for i in extra if i < n})
+    torus = SelectiveSpace(Q, range(n))
+    for comp in decompose_homogeneous(der):
+        here = classify_component(comp, sig, space)
+        there = classify_component(comp, sig, torus)
+        if here.kind == "outer_conjugate":
+            assert there.kind == "outer_conjugate"
+        else:
+            assert there.kind == "inner" and there.inducer == here.inducer
+
+
 def test_classify_rejects_forbidden_case():
     # 2-exceptional weight but the exceptional image is accompanied by a
     # cocycle mismatch at another non-inverted index
